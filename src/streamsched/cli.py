@@ -247,6 +247,7 @@ def main(argv=None) -> int:
         OSError,
         sketch_mod.EmptyStreamError,
         planner.EmptySketchError,
+        planner.FrontierBoundError,
         assigner.StreamMismatchError,
         oracle.TooLargeError,
         ScheduleError,

@@ -93,6 +93,16 @@ def flat_profile(alpha: float, machine_index: int = 1) -> MachineProfile:
     )
 
 
+def require_alpha0(profiles, alpha0: float) -> None:
+    """Raise ValueError naming the first machine whose capacity dips below alpha0."""
+    for prof in profiles:
+        if prof.min_alpha < alpha0 - REL_TOL:
+            raise ValueError(
+                f"machine {prof.machine_index} has capacity {prof.min_alpha} "
+                f"below alpha0 {alpha0}"
+            )
+
+
 @dataclass(frozen=True)
 class Instance:
     machines: tuple[MachineProfile, ...]
@@ -102,11 +112,7 @@ class Instance:
     def __post_init__(self):
         if not 0.0 < self.alpha0 <= 1.0:
             raise ValueError(f"alpha0 must be in (0, 1], got {self.alpha0}")
-        for prof in self.machines:
-            if prof.min_alpha < self.alpha0 - REL_TOL:
-                raise ValueError(
-                    f"machine {prof.machine_index} has capacity below alpha0"
-                )
+        require_alpha0(self.machines, self.alpha0)
         ids = [j.id for j in self.jobs]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate job ids")
@@ -308,14 +314,15 @@ def dump_profiles(profiles: tuple[MachineProfile, ...], path: str) -> None:
 
 
 def write_schedule_csv(schedule: Schedule, path: str) -> None:
-    """CSV with header job_id,machine,start,completion; 12 significant digits."""
+    """CSV with header job_id,machine,start,completion. The csv module writes
+    floats as repr, so reading the file back gives the same floats."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["job_id", "machine", "start", "completion"])
-        for pl in schedule.placements:
-            writer.writerow(
-                [pl.job_id, pl.machine_index, f"{pl.start:.12g}", f"{pl.completion:.12g}"]
-            )
+        writer.writerows(
+            (pl.job_id, pl.machine_index, pl.start, pl.completion)
+            for pl in schedule.placements
+        )
 
 
 def read_schedule_csv(path: str) -> Schedule:

@@ -1,7 +1,8 @@
 """Group-by-group enumerate-and-prune dynamic program over the sketch.
 
 Groups (one per distinct rounded processing time) are appended in ascending
-order; after each group the surviving partial schedules are reduced to one
+order; after each group the partial schedules are reduced in two stages:
+an exact merge of states with the same per-machine work vector, then one
 representative per geometric similarity class. The best survivor yields the
 reported approximate value and the per-machine group counts and start times
 consumed by the second pass.
@@ -13,7 +14,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from .model import MachineProfile, work_to_time
+from .model import MachineProfile, require_alpha0, work_to_time
 from .partition import PartitionTuple, enumerate_partitions
 from .sketch import Sketch
 
@@ -22,6 +23,10 @@ ZERO = "Z"  # signature symbol for an empty machine (log of 0 is undefined)
 
 class EmptySketchError(Exception):
     """The sketch has no entries to plan over."""
+
+
+class FrontierBoundError(Exception):
+    """A group's surviving frontier exceeds the bucket-count bound."""
 
 
 @dataclass(frozen=True)
@@ -114,14 +119,17 @@ def _keep_key(state: PlanState):
     return (state.total_sigma, flat, state.counts)
 
 
+def _keep(best: dict, key, state: PlanState) -> None:
+    cur = best.get(key)
+    if cur is None or _keep_key(state) < _keep_key(cur):
+        best[key] = state
+
+
 def prune(states, delta: float) -> list[PlanState]:
     """One representative per similarity signature (deterministic keep-rule)."""
     best: dict[tuple, PlanState] = {}
     for state in states:
-        sig = signature(state, delta)
-        cur = best.get(sig)
-        if cur is None or _keep_key(state) < _keep_key(cur):
-            best[sig] = state
+        _keep(best, signature(state, delta), state)
     return list(best.values())
 
 
@@ -210,32 +218,35 @@ def plan(
 ) -> Plan:
     """Run the DP over the sketch and package the best surviving schedule.
 
-    With parallel=True the (state x partition) cross product of each group is
-    split across worker threads; the per-signature keep-rule is a commutative
-    and associative reduction, so the surviving set is identical either way.
+    Each group's expansions are first merged by exact work vector: jobs on a
+    machine run back to back from time 0, so a partial schedule's future cost
+    depends only on its work vector and the state with the smaller keep-key
+    loses nothing. The survivors are then pruned by signature. With
+    parallel=True the (state x partition) cross product is split across
+    worker threads and their work-keyed dicts are merged before the single
+    prune; the keep-rule is a commutative and associative reduction, so the
+    plan is identical either way.
     """
     if not sketch.entries:
         raise EmptySketchError("sketch has no entries")
+    require_alpha0(profiles, alpha0)
     m = len(profiles)
     delta = delta_from(sketch, eps, alpha0)
     bound = _state_bound(sketch, alpha0, delta, m)
 
     states = [empty_state(m)]
     max_states = 1
-    for (rp, n_k), _k in zip(sketch.entries, sketch.bucket_indices):
+    for g, (rp, n_k) in enumerate(sketch.entries):
         parts = sorted(enumerate_partitions(n_k, m, delta))
         memo: dict = {}
 
         def expand(chunk, frontier=states, rp=rp, memo=memo):
-            best: dict[tuple, PlanState] = {}
+            by_work: dict[tuple, PlanState] = {}
             for s in frontier:
                 for part in chunk:
                     ns = append_group(s, rp, part, profiles, memo)
-                    sig = signature(ns, delta)
-                    cur = best.get(sig)
-                    if cur is None or _keep_key(ns) < _keep_key(cur):
-                        best[sig] = ns
-            return best
+                    _keep(by_work, ns.work, ns)
+            return by_work
 
         if parallel and len(parts) > 1:
             workers = min(4, len(parts))
@@ -244,17 +255,19 @@ def plan(
                 results = list(pool.map(expand, chunks))
             merged: dict[tuple, PlanState] = {}
             for local in results:
-                for sig, ns in local.items():
-                    cur = merged.get(sig)
-                    if cur is None or _keep_key(ns) < _keep_key(cur):
-                        merged[sig] = ns
+                for work, ns in local.items():
+                    _keep(merged, work, ns)
         else:
             merged = expand(parts)
 
-        states = list(merged.values())
-        assert len(states) <= bound, "surviving state count exceeds bucket bound"
+        states = prune(merged.values(), delta)
+        if len(states) > bound:
+            raise FrontierBoundError(
+                f"group {g} (rp={rp}, n_k={n_k}): frontier of {len(states)} "
+                f"states exceeds the bound {bound:.6g}"
+            )
         if trace is not None:
-            trace.append(list(states))
+            trace.append(states)
         max_states = max(max_states, len(states))
 
     best_state = min(states, key=_keep_key)

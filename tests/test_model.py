@@ -13,12 +13,17 @@ from streamsched import (
     PlacedJob,
     Schedule,
     WorkMismatchError,
+    emit,
     evaluate_schedule,
     flat_profile,
+    plan,
+    read_schedule_csv,
     run_batch,
+    sketch_stream,
     spt_on_assignment,
     work_between,
     work_to_time,
+    write_schedule_csv,
 )
 
 from conftest import make_profile, random_profile
@@ -100,6 +105,25 @@ class TestEvaluateSchedule:
         sched = Schedule((PlacedJob(1, 1, 0.0, 2.0), PlacedJob(1, 1, 2.0, 4.0)))
         with pytest.raises(MissingJobError):
             evaluate_schedule(inst, sched)
+
+
+class TestScheduleCsv:
+    def test_emitted_schedule_survives_round_trip(self, tmp_path):
+        # completion times up to ~1e8 on a fractional-capacity machine need
+        # more than 12 significant digits to re-derive each job's work
+        rng = random.Random(5)
+        profiles = (random_profile(rng, 0.5),)
+        stream = [rng.randint(1, 1000) for _ in range(10**5)]
+        plan_ = plan(sketch_stream(stream, 1.0, 0.5), profiles, 1.0, 0.5)
+        schedule, _ = emit(plan_, stream, profiles)
+        path = tmp_path / "schedule.csv"
+        write_schedule_csv(schedule, str(path))
+        back = read_schedule_csv(str(path))
+        assert back == schedule
+        jobs = tuple(Job(i, p) for i, p in enumerate(stream, 1))
+        sigma = sum(placed.completion for placed in schedule.placements)
+        inst = Instance(profiles, jobs, 0.5)
+        assert evaluate_schedule(inst, back) == pytest.approx(sigma)
 
 
 class TestSptOnAssignment:

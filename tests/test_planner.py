@@ -16,8 +16,9 @@ from streamsched import (
     signature,
     sketch_stream,
 )
+from streamsched import planner
 from streamsched.model import Instance, Job
-from streamsched.planner import ZERO, empty_state
+from streamsched.planner import ZERO, FrontierBoundError, empty_state
 
 from conftest import random_profile
 import random
@@ -162,11 +163,60 @@ class TestPlan:
         par = plan(sk, profiles, 1.0, 0.5, parallel=True)
         assert seq.to_json() == par.to_json()
 
+    def test_frontier_bound_error_names_group(self, monkeypatch):
+        monkeypatch.setattr(planner, "_state_bound", lambda *args: 0)
+        sk = make_sketch([1, 1, 2])
+        match = r"group 0 .*frontier of 1 states exceeds the bound 0"
+        with pytest.raises(FrontierBoundError, match=match):
+            plan(sk, (flat_profile(1.0),), 1.0, 1.0)
+
+    def test_profile_below_alpha0_rejected(self):
+        profiles = (flat_profile(1.0, 1), flat_profile(0.1, 2))
+        sk = make_sketch([1, 2, 3], alpha0=0.9)
+        with pytest.raises(ValueError, match="machine 2 .*below alpha0"):
+            plan(sk, profiles, 1.0, 0.9)
+
     def test_json_roundtrip(self, unit_profile):
         sk = make_sketch([1, 1, 2])
         pl = plan(sk, (unit_profile,), 1.0, 1.0)
         back = Plan.from_json(pl.to_json())
         assert back.to_json() == pl.to_json()
+
+
+def _random_case(seed, n, m, eps, alpha0, max_p):
+    rng = random.Random(seed)
+    profiles = tuple(random_profile(rng, alpha0, i + 1) for i in range(m))
+    stream = [rng.randint(1, max_p) for _ in range(n)]
+    return sketch_stream(stream, eps, alpha0), profiles
+
+
+class TestPlannerScale:
+    # frontier sizes are deterministic; each bound is about twice the size
+    # the work-vector merge gives and far below the signature-only prune
+
+    def test_roadmap_baseline_frontier(self):
+        # n=20, m=2, eps=0.5, alpha0=0.5, p<=20: signature-only peak 52,780
+        sk, profiles = _random_case(1, 20, 2, 0.5, 0.5, 20)
+        assert plan(sk, profiles, 0.5, 0.5).max_states <= 400  # now 190
+
+    def test_n40_m2_plans(self):
+        # signature-only pruning ran past 120 s on this size class
+        sk, profiles = _random_case(0, 40, 2, 1.0, 1.0, 100)
+        assert plan(sk, profiles, 1.0, 1.0).max_states <= 4400  # now 2195
+
+    def test_parallel_matches_sequential_across_chunks(self):
+        # 28 partitions per group, so each of the 4 worker chunks gets 7 and
+        # states with one work vector arise in several chunks
+        rng = random.Random(6)
+        profiles = tuple(random_profile(rng, 0.5, i + 1) for i in range(3))
+        sk = sketch_stream([p for p in (2, 3, 5) for _ in range(6)], 1.0, 0.5)
+        delta = delta_from(sk, 1.0, 0.5)
+        assert all(
+            len(enumerate_partitions(c, 3, delta)) >= 20 for _, c in sk.entries
+        )
+        seq = plan(sk, profiles, 1.0, 0.5, parallel=False)
+        par = plan(sk, profiles, 1.0, 0.5, parallel=True)
+        assert seq.to_json() == par.to_json()
 
 
 class TestDeltaCloseCoverage:
