@@ -17,9 +17,7 @@ from streamsched import (
     plan,
     sketch_stream,
 )
-
-sys.path.insert(0, "tests")
-from conftest import random_instance  # noqa: E402
+from streamsched.model import random_instance
 
 
 def sweep(eps: float, alpha0: float, instances: int, seed: int):

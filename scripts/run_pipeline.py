@@ -21,7 +21,7 @@ from streamsched import (
     plan,
     sketch_stream,
 )
-from streamsched.cli import gen_profiles
+from streamsched.model import random_profile
 
 
 def main() -> int:
@@ -35,7 +35,9 @@ def main() -> int:
     args = ap.parse_args()
 
     rng = random.Random(args.seed)
-    profiles = gen_profiles(rng, args.machines, args.alpha0, 3)
+    profiles = tuple(
+        random_profile(rng, args.alpha0, i + 1, 3) for i in range(args.machines)
+    )
     stream = [rng.randint(1, args.max_p) for _ in range(args.jobs)]
 
     sk = sketch_stream(stream, args.eps, args.alpha0)

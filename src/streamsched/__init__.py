@@ -46,52 +46,3 @@ from .sketch import (
     rounded_value,
     sketch_stream,
 )
-
-__all__ = [
-    "CapacityInterval",
-    "EmitReport",
-    "EmptySketchError",
-    "EmptyStreamError",
-    "Instance",
-    "Job",
-    "KnowledgeMode",
-    "MachineProfile",
-    "MissingJobError",
-    "OracleResult",
-    "OverlapError",
-    "PlacedJob",
-    "Plan",
-    "PlanState",
-    "Schedule",
-    "ScheduleError",
-    "Sketch",
-    "SketchBuilder",
-    "StreamMismatchError",
-    "TooLargeError",
-    "WorkMismatchError",
-    "append_group",
-    "brute_force_opt",
-    "bucket_index",
-    "classify",
-    "delta_from",
-    "dump_profiles",
-    "emit",
-    "enumerate_partitions",
-    "evaluate_schedule",
-    "flat_profile",
-    "is_valid_partition",
-    "iter_job_stream",
-    "ladder_values",
-    "load_profiles",
-    "plan",
-    "prune",
-    "read_schedule_csv",
-    "rounded_value",
-    "run_batch",
-    "signature",
-    "sketch_stream",
-    "spt_on_assignment",
-    "work_between",
-    "work_to_time",
-    "write_schedule_csv",
-]

@@ -46,7 +46,7 @@ class EmitterState:
 
     def __init__(self, plan: Plan, profiles: tuple[MachineProfile, ...]):
         self.plan = plan
-        self.group_by_rp = {rp: g for g, (_k, rp, _nk) in enumerate(plan.groups)}
+        self.group_by_rp = {rp: g for g, (rp, _nk) in enumerate(plan.groups)}
         self.remaining = [list(row) for row in plan.counts]
         self.cursor = [list(row) for row in plan.starts]
         self.small_cursor = 0.0
@@ -59,7 +59,7 @@ class EmitterState:
         self.head_limit = min(head) if head else math.inf
         # end of machine 1's planned slot timeline; overflow smalls go there
         tail = 0.0
-        for g, (_k, rp, _nk) in enumerate(plan.groups):
+        for g, (rp, _nk) in enumerate(plan.groups):
             c = plan.counts[0][g]
             if c:
                 t = plan.starts[0][g]
@@ -87,7 +87,12 @@ def emit(
 ) -> tuple[Schedule, EmitReport]:
     """Place every job of the stream; the stream must be the pass-1 multiset
     (any order). Completions use the job's true processing time; the slot
-    cursor advances by the rounded length, reproducing the planned starts."""
+    cursor advances by the rounded length, reproducing the planned starts.
+    Raises ValueError when the profile count differs from the plan's."""
+    if len(profiles) != len(plan.counts):
+        raise ValueError(
+            f"plan is for {len(plan.counts)} machines, got {len(profiles)} profiles"
+        )
     state = EmitterState(plan, profiles)
     report = EmitReport()
     placements = []
@@ -111,7 +116,7 @@ def emit(
 def _place_large(state, report, job_id, p, g, profiles):
     machine = next(i for i, row in enumerate(state.remaining) if row[g] > 0)
     profile = profiles[machine]
-    rp = state.plan.groups[g][1]
+    rp = state.plan.groups[g][0]
     start = state.cursor[machine][g]
     completion = work_to_time(profile, start, float(p))
     state.cursor[machine][g] = work_to_time(profile, start, float(rp))

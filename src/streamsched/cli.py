@@ -32,7 +32,6 @@ class RunConfig:
     profile_path: str
     n_upper: int | None = None
     pmax_lower: int | None = None
-    seed: int = 0
     with_schedule: bool = True
     compute_opt: bool = False
 
@@ -41,26 +40,6 @@ class RunConfig:
             raise ValueError("eps must be in (0, 1]")
         if not 0.0 < self.alpha0 <= 1.0:
             raise ValueError("alpha0 must be in (0, 1]")
-
-
-def gen_profiles(
-    rng: random.Random, machines: int, alpha0: float, max_intervals: int
-) -> tuple[model.MachineProfile, ...]:
-    profiles = []
-    for mi in range(1, machines + 1):
-        pieces = rng.randint(1, max_intervals)
-        intervals = []
-        t = 0.0
-        for j in range(pieces):
-            alpha = rng.uniform(alpha0, 1.0)
-            if j == pieces - 1:
-                end = float("inf")
-            else:
-                end = t + rng.uniform(1.0, 10.0)
-            intervals.append(model.CapacityInterval(t, end, alpha))
-            t = end
-        profiles.append(model.MachineProfile(mi, tuple(intervals)))
-    return tuple(profiles)
 
 
 def gen(
@@ -82,7 +61,10 @@ def gen(
     with open(jobs_out, "w") as fh:
         for _ in range(jobs):
             fh.write(f"{rng.randint(1, max_p)}\n")
-    model.dump_profiles(gen_profiles(rng, machines, alpha0, intervals), profile_out)
+    profiles = tuple(
+        model.random_profile(rng, alpha0, i + 1, intervals) for i in range(machines)
+    )
+    model.dump_profiles(profiles, profile_out)
 
 
 def pipeline(config: RunConfig) -> dict:
@@ -145,11 +127,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pmax-lower", type=int, default=None)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("approximate", help="plan over a sketch; prints V")
+    p = sub.add_parser(
+        "approximate", help="plan over a sketch at its eps and alpha0; prints V"
+    )
     p.add_argument("--sketch", required=True)
     p.add_argument("--profile", required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--alpha0", type=float, required=True)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("schedule", help="pass-2 replay of the stream into a plan")
@@ -170,14 +152,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_instance(jobs_path: str, profile_path: str, alpha0: float = None) -> Instance:
+def _load_instance(jobs_path: str, profile_path: str) -> Instance:
     profiles = model.load_profiles(profile_path)
     jobs = tuple(
         Job(i, p) for i, p in enumerate(sketch_mod.iter_job_stream(jobs_path), 1)
     )
-    if alpha0 is None:
-        alpha0 = min(prof.min_alpha for prof in profiles)
-    return Instance(profiles, jobs, alpha0)
+    return Instance(profiles, jobs, min(prof.min_alpha for prof in profiles))
 
 
 def main(argv=None) -> int:
@@ -208,7 +188,7 @@ def main(argv=None) -> int:
             with open(args.sketch) as fh:
                 sk = sketch_mod.Sketch.from_json(fh.read())
             profiles = model.load_profiles(args.profile)
-            pl = planner.plan(sk, profiles, args.eps, args.alpha0)
+            pl = planner.plan(sk, profiles, sk.eps, sk.alpha0)
             with open(args.out, "w") as fh:
                 fh.write(pl.to_json())
                 fh.write("\n")

@@ -8,6 +8,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import random
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -93,6 +94,22 @@ def flat_profile(alpha: float, machine_index: int = 1) -> MachineProfile:
     )
 
 
+def random_profile(
+    rng: random.Random, alpha0: float, machine_index: int = 1, max_pieces: int = 4
+) -> MachineProfile:
+    """1 to max_pieces pieces of length U[0.5, 8] and capacity U[alpha0, 1];
+    the last piece is unbounded."""
+    pieces = rng.randint(1, max_pieces)
+    intervals = []
+    t = 0.0
+    for j in range(pieces):
+        alpha = rng.uniform(alpha0, 1.0)
+        end = math.inf if j == pieces - 1 else t + rng.uniform(0.5, 8.0)
+        intervals.append(CapacityInterval(t, end, alpha))
+        t = end
+    return MachineProfile(machine_index, tuple(intervals))
+
+
 def require_alpha0(profiles, alpha0: float) -> None:
     """Raise ValueError naming the first machine whose capacity dips below alpha0."""
     for prof in profiles:
@@ -116,6 +133,15 @@ class Instance:
         ids = [j.id for j in self.jobs]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate job ids")
+
+
+def random_instance(
+    rng: random.Random, n: int, m: int, max_p: int, alpha0: float
+) -> Instance:
+    """m random profiles (see random_profile), then n job sizes U{1..max_p}."""
+    machines = tuple(random_profile(rng, alpha0, i + 1) for i in range(m))
+    jobs = tuple(Job(i + 1, rng.randint(1, max_p)) for i in range(n))
+    return Instance(machines, jobs, alpha0)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .model import MachineProfile, require_alpha0, work_to_time
@@ -144,11 +143,8 @@ class Plan:
     tau: float
     delta: float
     n: int
-    p_max: int
-    p_minL_final: float
-    p_minL_stream: float
     small_reservation: float
-    groups: tuple[tuple[int, int, int], ...]  # (k, rp, n_k)
+    groups: tuple[tuple[int, int], ...]  # (rp, n_k), the sketch entries
     counts: tuple[tuple[int, ...], ...]  # [machine][group]
     starts: tuple[tuple[float, ...], ...]  # [machine][group]
     max_states: int = field(default=0, compare=False)
@@ -162,13 +158,8 @@ class Plan:
             "tau": self.tau,
             "delta": self.delta,
             "n": self.n,
-            "p_max": self.p_max,
-            "p_minL_final": self.p_minL_final,
-            "p_minL_stream": self.p_minL_stream,
             "small_reservation": self.small_reservation,
-            "groups": [
-                {"k": k, "rp": rp, "n_k": nk} for k, rp, nk in self.groups
-            ],
+            "groups": [{"rp": rp, "n_k": nk} for rp, nk in self.groups],
             "counts": [list(row) for row in self.counts],
             "starts": [list(row) for row in self.starts],
         }
@@ -176,6 +167,7 @@ class Plan:
 
     @classmethod
     def from_json(cls, text: str) -> "Plan":
+        """Keys this format no longer uses (older files carry a few) are ignored."""
         obj = json.loads(text)
         return cls(
             V=obj["V"],
@@ -185,13 +177,8 @@ class Plan:
             tau=obj["tau"],
             delta=obj["delta"],
             n=int(obj["n"]),
-            p_max=int(obj["p_max"]),
-            p_minL_final=obj["p_minL_final"],
-            p_minL_stream=obj["p_minL_stream"],
             small_reservation=obj["small_reservation"],
-            groups=tuple(
-                (int(g["k"]), int(g["rp"]), int(g["n_k"])) for g in obj["groups"]
-            ),
+            groups=tuple((int(g["rp"]), int(g["n_k"])) for g in obj["groups"]),
             counts=tuple(tuple(int(c) for c in row) for row in obj["counts"]),
             starts=tuple(tuple(float(t) for t in row) for row in obj["starts"]),
         )
@@ -221,12 +208,18 @@ def plan(
     Each group's expansions are first merged by exact work vector: jobs on a
     machine run back to back from time 0, so a partial schedule's future cost
     depends only on its work vector and the state with the smaller keep-key
-    loses nothing. The survivors are then pruned by signature. With
-    parallel=True the (state x partition) cross product is split across
-    worker threads and their work-keyed dicts are merged before the single
-    prune; the keep-rule is a commutative and associative reduction, so the
-    plan is identical either way.
+    loses nothing. The survivors are then pruned by signature.
+
+    eps and alpha0 must be the ones the sketch was built with. The DP is pure
+    Python, so threads cannot speed it up; parallel=True is rejected.
     """
+    if parallel:
+        raise ValueError("parallel planning is not supported")
+    if (eps, alpha0) != (sketch.eps, sketch.alpha0):
+        raise ValueError(
+            f"plan eps={eps}, alpha0={alpha0} differ from the sketch's "
+            f"eps={sketch.eps}, alpha0={sketch.alpha0}"
+        )
     if not sketch.entries:
         raise EmptySketchError("sketch has no entries")
     require_alpha0(profiles, alpha0)
@@ -237,30 +230,14 @@ def plan(
     states = [empty_state(m)]
     max_states = 1
     for g, (rp, n_k) in enumerate(sketch.entries):
-        parts = sorted(enumerate_partitions(n_k, m, delta))
+        parts = enumerate_partitions(n_k, m, delta)
         memo: dict = {}
-
-        def expand(chunk, frontier=states, rp=rp, memo=memo):
-            by_work: dict[tuple, PlanState] = {}
-            for s in frontier:
-                for part in chunk:
-                    ns = append_group(s, rp, part, profiles, memo)
-                    _keep(by_work, ns.work, ns)
-            return by_work
-
-        if parallel and len(parts) > 1:
-            workers = min(4, len(parts))
-            chunks = [parts[w::workers] for w in range(workers)]
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(expand, chunks))
-            merged: dict[tuple, PlanState] = {}
-            for local in results:
-                for work, ns in local.items():
-                    _keep(merged, work, ns)
-        else:
-            merged = expand(parts)
-
-        states = prune(merged.values(), delta)
+        by_work: dict[tuple, PlanState] = {}
+        for s in states:
+            for part in parts:
+                ns = append_group(s, rp, part, profiles, memo)
+                _keep(by_work, ns.work, ns)
+        states = prune(by_work.values(), delta)
         if len(states) > bound:
             raise FrontierBoundError(
                 f"group {g} (rp={rp}, n_k={n_k}): frontier of {len(states)} "
@@ -293,10 +270,6 @@ def plan(
                 _, cur = _batch(profiles[i], cur, c, float(rp))
         starts.append(tuple(row))
 
-    groups = tuple(
-        (k, rp, n_k)
-        for (rp, n_k), k in zip(sketch.entries, sketch.bucket_indices)
-    )
     return Plan(
         V=V,
         sigma_S_prime=sigma_sp,
@@ -305,11 +278,8 @@ def plan(
         tau=sketch.tau,
         delta=delta,
         n=sketch.n,
-        p_max=sketch.p_max,
-        p_minL_final=sketch.p_minL_final,
-        p_minL_stream=sketch.p_minL_stream,
         small_reservation=reservation,
-        groups=groups,
+        groups=sketch.entries,
         counts=counts,
         starts=tuple(starts),
         max_states=max_states,

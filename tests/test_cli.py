@@ -128,13 +128,14 @@ class TestSubcommands:
         rc = main(
             [
                 "approximate", "--sketch", str(sketch_out),
-                "--profile", str(profile), "--eps", "1.0",
-                "--alpha0", "0.5", "--out", str(plan_out),
+                "--profile", str(profile), "--out", str(plan_out),
             ]
         )
         assert rc == 0
         printed_v = float(capsys.readouterr().out.strip())
-        assert printed_v == pytest.approx(json.loads(plan_out.read_text())["V"])
+        plan_obj = json.loads(plan_out.read_text())
+        assert printed_v == pytest.approx(plan_obj["V"])
+        assert (plan_obj["eps"], plan_obj["alpha0"]) == (1.0, 0.5)
 
         rc = main(
             [
@@ -186,6 +187,45 @@ class TestSubcommands:
         )
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    def test_approximate_has_no_eps_flag(self, tmp_path):
+        with pytest.raises(SystemExit):
+            main(
+                [
+                    "approximate", "--sketch", "s.json", "--profile", "p.json",
+                    "--eps", "0.2", "--out", str(tmp_path / "plan.json"),
+                ]
+            )
+
+    def test_schedule_profile_count_mismatch_fails(self, tmp_path, capsys):
+        jobs = tmp_path / "jobs.txt"
+        write_jobs(jobs, [1, 2, 3])
+        two = tmp_path / "two.json"
+        one = tmp_path / "one.json"
+        dump_profiles((flat_profile(1.0, 1), flat_profile(1.0, 2)), str(two))
+        dump_profiles((flat_profile(1.0, 1),), str(one))
+        sketch_out = tmp_path / "sketch.json"
+        plan_out = tmp_path / "plan.json"
+        assert main(
+            [
+                "sketch", "--jobs", str(jobs), "--eps", "1.0",
+                "--alpha0", "1.0", "--out", str(sketch_out),
+            ]
+        ) == 0
+        assert main(
+            [
+                "approximate", "--sketch", str(sketch_out),
+                "--profile", str(two), "--out", str(plan_out),
+            ]
+        ) == 0
+        rc = main(
+            [
+                "schedule", "--plan", str(plan_out), "--jobs", str(jobs),
+                "--profile", str(one), "--out", str(tmp_path / "s.csv"),
+            ]
+        )
+        assert rc == 1
+        assert "plan is for 2 machines, got 1 profiles" in capsys.readouterr().err
 
     def test_infeasible_schedule_detected(self, tmp_path, capsys):
         jobs = tmp_path / "jobs.txt"

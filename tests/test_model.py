@@ -25,8 +25,9 @@ from streamsched import (
     work_to_time,
     write_schedule_csv,
 )
+from streamsched.model import random_profile
 
-from conftest import make_profile, random_profile
+from conftest import make_profile
 
 
 class TestWorkToTime:

@@ -12,7 +12,7 @@ from streamsched import (
     spt_on_assignment,
 )
 
-from conftest import random_instance
+from streamsched.model import random_instance
 
 
 def spt_list_value(ps, m):

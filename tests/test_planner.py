@@ -17,10 +17,9 @@ from streamsched import (
     sketch_stream,
 )
 from streamsched import planner
-from streamsched.model import Instance, Job
+from streamsched.model import Instance, Job, random_profile
 from streamsched.planner import ZERO, FrontierBoundError, empty_state
 
-from conftest import random_profile
 import random
 
 
@@ -46,9 +45,8 @@ class TestDelta:
     def test_empty(self):
         sk = make_sketch([1])
         empty = sk.__class__(
-            entries=(), bucket_indices=(), n=1, p_max=1,
-            p_minL_final=0.5, p_minL_stream=1.0, tau=sk.tau,
-            eps=1.0, alpha0=1.0, k0=0, k1=0,
+            entries=(), n=1, p_max=1, p_minL_final=0.5, tau=sk.tau,
+            eps=1.0, alpha0=1.0,
         )
         with pytest.raises(EmptySketchError):
             delta_from(empty, 1.0, 1.0)
@@ -154,14 +152,17 @@ class TestPlan:
             sigs = [signature(s, delta) for s in states]
             assert len(sigs) == len(set(sigs))
 
-    def test_parallel_matches_sequential(self):
-        rng = random.Random(4)
-        profiles = tuple(random_profile(rng, 0.5, i + 1) for i in range(3))
-        stream = [rng.randint(1, 20) for _ in range(8)]
-        sk = sketch_stream(stream, 1.0, 0.5)
-        seq = plan(sk, profiles, 1.0, 0.5, parallel=False)
-        par = plan(sk, profiles, 1.0, 0.5, parallel=True)
-        assert seq.to_json() == par.to_json()
+    def test_eps_alpha0_must_match_sketch(self, unit_profile):
+        sk = make_sketch([1, 1, 2])
+        with pytest.raises(ValueError, match="eps=0.2, alpha0=1.0 differ"):
+            plan(sk, (unit_profile,), 0.2, 1.0)
+        with pytest.raises(ValueError, match="alpha0=0.5 differ"):
+            plan(sk, (unit_profile,), 1.0, 0.5)
+
+    def test_parallel_rejected(self, unit_profile):
+        sk = make_sketch([1, 1, 2])
+        with pytest.raises(ValueError, match="parallel"):
+            plan(sk, (unit_profile,), 1.0, 1.0, parallel=True)
 
     def test_frontier_bound_error_names_group(self, monkeypatch):
         monkeypatch.setattr(planner, "_state_bound", lambda *args: 0)
@@ -181,6 +182,21 @@ class TestPlan:
         pl = plan(sk, (unit_profile,), 1.0, 1.0)
         back = Plan.from_json(pl.to_json())
         assert back.to_json() == pl.to_json()
+
+    def test_older_format_loads(self, unit_profile):
+        # written while plans still carried k, p_max, p_minL_final and
+        # p_minL_stream
+        text = (
+            '{"V": 9.955555555555554, "alpha0": 1.0, "counts": [[2, 1]], '
+            '"delta": 0.020833333333333332, "eps": 1.0, "groups": [{"k": 1, '
+            '"n_k": 2, "rp": 1}, {"k": 11, "n_k": 1, "rp": 2}], "n": 3, '
+            '"p_max": 2, "p_minL_final": 0.07407407407407407, "p_minL_stream": '
+            '1.0, "sigma_S_prime": 7.0, "small_reservation": 0.2222222222222222, '
+            '"starts": [[0.2222222222222222, 2.2222222222222223]], "tau": '
+            '0.06666666666666667}'
+        )
+        pl = plan(make_sketch([1, 1, 2]), (unit_profile,), 1.0, 1.0)
+        assert Plan.from_json(text) == pl
 
 
 def _random_case(seed, n, m, eps, alpha0, max_p):
@@ -203,20 +219,6 @@ class TestPlannerScale:
         # signature-only pruning ran past 120 s on this size class
         sk, profiles = _random_case(0, 40, 2, 1.0, 1.0, 100)
         assert plan(sk, profiles, 1.0, 1.0).max_states <= 4400  # now 2195
-
-    def test_parallel_matches_sequential_across_chunks(self):
-        # 28 partitions per group, so each of the 4 worker chunks gets 7 and
-        # states with one work vector arise in several chunks
-        rng = random.Random(6)
-        profiles = tuple(random_profile(rng, 0.5, i + 1) for i in range(3))
-        sk = sketch_stream([p for p in (2, 3, 5) for _ in range(6)], 1.0, 0.5)
-        delta = delta_from(sk, 1.0, 0.5)
-        assert all(
-            len(enumerate_partitions(c, 3, delta)) >= 20 for _, c in sk.entries
-        )
-        seq = plan(sk, profiles, 1.0, 0.5, parallel=False)
-        par = plan(sk, profiles, 1.0, 0.5, parallel=True)
-        assert seq.to_json() == par.to_json()
 
 
 class TestDeltaCloseCoverage:

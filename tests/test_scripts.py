@@ -1,0 +1,29 @@
+"""The experiment scripts run end to end from the repository root."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["scripts/run_pipeline.py"],
+        ["scripts/ratio_sweep.py", "--instances", "2", "--eps", "1.0"],
+    ],
+    ids=["run_pipeline", "ratio_sweep"],
+)
+def test_script_exits_zero(args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, *args],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

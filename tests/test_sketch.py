@@ -87,6 +87,25 @@ class TestFinalize:
         with pytest.raises(EmptyStreamError):
             SketchBuilder(1.0, 1.0).finalize()
 
+    def test_broken_n_upper_promise_rejected(self):
+        b = SketchBuilder(1.0, 1.0, KnowledgeMode(n_upper=10))
+        for p in range(1, 12):
+            b.observe(p)
+        with pytest.raises(ValueError, match="11 jobs.*n_upper 10"):
+            b.finalize()
+
+    def test_broken_pmax_lower_promise_rejected(self):
+        b = SketchBuilder(1.0, 1.0, KnowledgeMode(pmax_lower=100))
+        for p in (3, 50, 7):
+            b.observe(p)
+        with pytest.raises(ValueError, match="largest job 50 .*pmax_lower 100"):
+            b.finalize()
+
+    def test_kept_promises_accepted(self):
+        mode = KnowledgeMode(n_upper=2, pmax_lower=100)
+        sk = sketch_stream([5, 100], 1.0, 1.0, mode)
+        assert sk.n == 2 and sk.p_max == 100
+
     def test_counts_bounded_by_n(self):
         rng = random.Random(3)
         stream = [rng.randint(1, 500) for _ in range(200)]
@@ -126,7 +145,7 @@ class TestSpaceBounds:
         c2 = 4
         pmax_lower = 250
         stream = [rng.randint(1, c2 * pmax_lower) for _ in range(5000)]
-        b = SketchBuilder(1.0, 1.0, KnowledgeMode(pmax_lower=pmax_lower, c2=c2))
+        b = SketchBuilder(1.0, 1.0, KnowledgeMode(pmax_lower=pmax_lower))
         for p in stream:
             b.observe(p)
         assert b.max_live_size <= self._log_ratio(c2 * pmax_lower, b.tau) + 1
@@ -162,6 +181,15 @@ class TestSerialization:
         sk = sketch_stream(stream, 0.5, 1.0)
         back = Sketch.from_json(sk.to_json())
         assert back.entries == sk.entries
-        assert back.bucket_indices == sk.bucket_indices
         assert back.n == sk.n and back.p_max == sk.p_max
         assert back.to_json() == sk.to_json()
+
+    def test_older_format_loads(self):
+        # written before p_minL_stream was dropped from the format
+        text = (
+            '{"alpha0": 1.0, "entries": [{"count": 2, "rp": 1}, {"count": 1, '
+            '"rp": 2}], "eps": 1.0, "n": 3, "p_max": 2, "p_minL_final": '
+            '0.07407407407407407, "p_minL_stream": 1.0, "tau": '
+            '0.06666666666666667}'
+        )
+        assert Sketch.from_json(text) == sketch_stream([1, 1, 2], 1.0, 1.0)
