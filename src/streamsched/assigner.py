@@ -5,11 +5,12 @@ processing time; when a bucket's slots are exhausted (or the job rounds below
 every group) the job joins the small pile on machine 1. Working space is the
 plan's m-by-mu counters plus the single in-flight job.
 
-Large jobs start exactly at their planned slot time: a job's true length never
-exceeds the rounded length the slot was sized for, so planned slots are
-pairwise disjoint regardless of arrival order. Small jobs fill the head
-reservation on machine 1; any small that no longer fits ahead of machine 1's
-first planned large slot is appended past the planned horizon instead.
+Large jobs start exactly at their slot time. The slots are laid out on the
+profiles pass 2 is given, and a job's true length never exceeds the rounded
+length its slot was sized for, so slots are pairwise disjoint regardless of
+arrival order. Small jobs fill the head reservation on machine 1; any small
+that no longer fits ahead of machine 1's first large slot is appended past
+the end of its slot timeline instead.
 """
 from __future__ import annotations
 
@@ -28,7 +29,6 @@ class StreamMismatchError(Exception):
 @dataclass
 class EmitReport:
     n_jobs: int = 0
-    large_placed: int = 0
     small_placed: int = 0
     # jobs that rounded into a plan bucket whose slots were already consumed;
     # nonzero means pass 1 and pass 2 disagreed near the largeness threshold
@@ -42,31 +42,32 @@ class EmitReport:
 
 
 class EmitterState:
-    """Mutable pass-2 cursors; O(m * number of groups) counters."""
+    """Mutable pass-2 cursors; O(m * number of groups) counters.
+
+    Each machine's slot timeline is laid out once from the plan's counts on
+    the given profiles: groups run back to back in size order, machine 1's
+    after the small-job reservation at its head."""
 
     def __init__(self, plan: Plan, profiles: tuple[MachineProfile, ...]):
         self.plan = plan
         self.group_by_rp = {rp: g for g, (rp, _nk) in enumerate(plan.groups)}
         self.remaining = [list(row) for row in plan.counts]
-        self.cursor = [list(row) for row in plan.starts]
-        self.small_cursor = 0.0
-        # first planned large slot on machine 1: smalls must finish before it
-        head = [
-            plan.starts[0][g]
-            for g in range(len(plan.groups))
-            if plan.counts[0][g] > 0
-        ]
-        self.head_limit = min(head) if head else math.inf
-        # end of machine 1's planned slot timeline; overflow smalls go there
-        tail = 0.0
-        for g, (rp, _nk) in enumerate(plan.groups):
-            c = plan.counts[0][g]
-            if c:
-                t = plan.starts[0][g]
+        self.cursor = []  # [machine][group]: start of the next unused slot
+        ends = []
+        for i, (profile, row) in enumerate(zip(profiles, plan.counts)):
+            t = plan.small_reservation if i == 0 else 0.0
+            starts = []
+            for (rp, _nk), c in zip(plan.groups, row):
+                starts.append(t)
                 for _ in range(c):
-                    t = work_to_time(profiles[0], t, float(rp))
-                tail = max(tail, t)
-        self.tail_cursor = tail
+                    t = work_to_time(profile, t, float(rp))
+            self.cursor.append(starts)
+            ends.append(t)
+        self.small_cursor = 0.0
+        # smalls must finish before machine 1's first large slot; the ones
+        # that do not fit go past the end of its timeline
+        self.head_limit = plan.small_reservation if any(plan.counts[0]) else math.inf
+        self.tail_cursor = ends[0]
 
 
 def classify(p: int, plan: Plan, state: EmitterState):
@@ -87,7 +88,7 @@ def emit(
 ) -> tuple[Schedule, EmitReport]:
     """Place every job of the stream; the stream must be the pass-1 multiset
     (any order). Completions use the job's true processing time; the slot
-    cursor advances by the rounded length, reproducing the planned starts.
+    cursor advances by the rounded length, to the start of the next slot.
     Raises ValueError when the profile count differs from the plan's."""
     if len(profiles) != len(plan.counts):
         raise ValueError(
@@ -121,7 +122,6 @@ def _place_large(state, report, job_id, p, g, profiles):
     completion = work_to_time(profile, start, float(p))
     state.cursor[machine][g] = work_to_time(profile, start, float(rp))
     state.remaining[machine][g] -= 1
-    report.large_placed += 1
     return PlacedJob(job_id, profile.machine_index, start, completion)
 
 

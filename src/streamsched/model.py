@@ -120,6 +120,15 @@ def require_alpha0(profiles, alpha0: float) -> None:
             )
 
 
+def require_distinct_machines(profiles) -> None:
+    """Raise ValueError naming the first machine index that appears twice."""
+    seen = set()
+    for prof in profiles:
+        if prof.machine_index in seen:
+            raise ValueError(f"machine index {prof.machine_index} appears twice")
+        seen.add(prof.machine_index)
+
+
 @dataclass(frozen=True)
 class Instance:
     machines: tuple[MachineProfile, ...]
@@ -319,6 +328,7 @@ def profiles_from_obj(raw: list[dict]) -> tuple[MachineProfile, ...]:
             intervals.append(CapacityInterval(t, end, float(piece["alpha"])))
             t = end
         profiles.append(MachineProfile(int(entry["machine"]), tuple(intervals)))
+    require_distinct_machines(profiles)
     return tuple(profiles)
 
 

@@ -11,12 +11,16 @@ import itertools
 PartitionTuple = tuple[int, ...]
 
 
-def ladder_values(b: int, delta: float) -> list[int]:
-    """{0} plus the distinct floors of (1+delta)^q that are <= b, ascending."""
+def _check(b: int, delta: float) -> None:
     if b < 0:
         raise ValueError("b must be >= 0")
     if delta <= 0:
         raise ValueError("delta must be > 0")
+
+
+def ladder_values(b: int, delta: float) -> list[int]:
+    """{0} plus the distinct floors of (1+delta)^q that are <= b, ascending."""
+    _check(b, delta)
     values = [0]
     power = 1.0
     while True:
@@ -34,10 +38,14 @@ def enumerate_partitions(b: int, m: int, delta: float) -> set[PartitionTuple]:
 
     Generated by choosing a free position, filling the other m-1 positions
     with ladder values of total <= b, and placing the remainder at the free
-    position; duplicates collapse in the result set.
+    position; duplicates collapse in the result set. One machine takes the
+    whole group, so no ladder is built.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    _check(b, delta)
+    if m == 1:
+        return {(b,)}
     ladder = ladder_values(b, delta)
     result: set[PartitionTuple] = set()
     for free in range(m):

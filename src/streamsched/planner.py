@@ -4,8 +4,8 @@ Groups (one per distinct rounded processing time) are appended in ascending
 order; after each group the partial schedules are reduced in two stages:
 an exact merge of states with the same per-machine work vector, then one
 representative per geometric similarity class. The best survivor yields the
-reported approximate value and the per-machine group counts and start times
-consumed by the second pass.
+reported approximate value and the per-machine group counts consumed by the
+second pass.
 """
 from __future__ import annotations
 
@@ -13,7 +13,12 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .model import MachineProfile, require_alpha0, work_to_time
+from .model import (
+    MachineProfile,
+    require_alpha0,
+    require_distinct_machines,
+    work_to_time,
+)
 from .partition import PartitionTuple, enumerate_partitions
 from .sketch import Sketch
 
@@ -28,15 +33,17 @@ class FrontierBoundError(Exception):
     """A group's surviving frontier exceeds the bucket-count bound."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlanState:
-    """Partial-schedule fingerprint: per-machine finish/work/total-completion
-    plus the per-group per-machine count matrix (group-major)."""
+    """Partial-schedule fingerprint: per-machine finish/work/total-completion,
+    plus the state it extends and the split of the group that extended it
+    (None for the empty schedule); the count matrix is read off this chain."""
 
     finish: tuple[float, ...]
     work: tuple[float, ...]
     sigma: tuple[float, ...]
-    counts: tuple[tuple[int, ...], ...]
+    parent: PlanState | None = None
+    part: PartitionTuple = ()
 
     @property
     def total_sigma(self) -> float:
@@ -45,7 +52,7 @@ class PlanState:
 
 def empty_state(m: int) -> PlanState:
     zeros = (0.0,) * m
-    return PlanState(zeros, zeros, zeros, ())
+    return PlanState(zeros, zeros, zeros)
 
 
 def delta_from(sketch: Sketch, eps: float, alpha0: float) -> float:
@@ -90,9 +97,7 @@ def append_group(
         sigma[i] += dsigma
         finish[i] = end
         work[i] += count * rp
-    return PlanState(
-        tuple(finish), tuple(work), tuple(sigma), state.counts + (tuple(part),)
-    )
+    return PlanState(tuple(finish), tuple(work), tuple(sigma), state, tuple(part))
 
 
 def _gbucket(v: float, inv_log: float):
@@ -112,10 +117,9 @@ def signature(state: PlanState, delta: float):
 
 def _keep_key(state: PlanState):
     # minimum total completion first; ties broken lexicographically on the
-    # flattened (work, sigma) vector, then the count matrix, so merges are
-    # order independent
+    # flattened (work, sigma) vector, then by first arrival
     flat = tuple(v for pair in zip(state.work, state.sigma) for v in pair)
-    return (state.total_sigma, flat, state.counts)
+    return (state.total_sigma, flat)
 
 
 def _keep(best: dict, key, state: PlanState) -> None:
@@ -146,8 +150,22 @@ class Plan:
     small_reservation: float
     groups: tuple[tuple[int, int], ...]  # (rp, n_k), the sketch entries
     counts: tuple[tuple[int, ...], ...]  # [machine][group]
-    starts: tuple[tuple[float, ...], ...]  # [machine][group]
     max_states: int = field(default=0, compare=False)
+
+    def __post_init__(self):
+        """Raise ValueError naming the group unless every machine's `counts`
+        row has one entry per group and each group's entries split its n_k."""
+        m = len(self.counts)
+        for g, (rp, n_k) in enumerate(self.groups):
+            col = [row[g] for row in self.counts if g < len(row)]
+            if len(col) < m or min(col, default=0) < 0 or sum(col) != n_k:
+                raise ValueError(
+                    f"group {g} (rp={rp}): counts {col} do not split n_k={n_k} "
+                    f"over {m} machines"
+                )
+        if any(len(row) > len(self.groups) for row in self.counts):
+            last = len(self.groups) - 1
+            raise ValueError(f"counts has entries past the last group {last}")
 
     def to_json(self) -> str:
         obj = {
@@ -161,13 +179,13 @@ class Plan:
             "small_reservation": self.small_reservation,
             "groups": [{"rp": rp, "n_k": nk} for rp, nk in self.groups],
             "counts": [list(row) for row in self.counts],
-            "starts": [list(row) for row in self.starts],
         }
         return json.dumps(obj, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "Plan":
-        """Keys this format no longer uses (older files carry a few) are ignored."""
+        """Keys this format no longer uses (older files carry a few, such as
+        `starts`) are ignored."""
         obj = json.loads(text)
         return cls(
             V=obj["V"],
@@ -180,7 +198,6 @@ class Plan:
             small_reservation=obj["small_reservation"],
             groups=tuple((int(g["rp"]), int(g["n_k"])) for g in obj["groups"]),
             counts=tuple(tuple(int(c) for c in row) for row in obj["counts"]),
-            starts=tuple(tuple(float(t) for t in row) for row in obj["starts"]),
         )
 
 
@@ -223,6 +240,7 @@ def plan(
     if not sketch.entries:
         raise EmptySketchError("sketch has no entries")
     require_alpha0(profiles, alpha0)
+    require_distinct_machines(profiles)
     m = len(profiles)
     delta = delta_from(sketch, eps, alpha0)
     bound = _state_bound(sketch, alpha0, delta, m)
@@ -251,24 +269,13 @@ def plan(
     sigma_sp = best_state.total_sigma
     V = (1.0 + eps / 3.0) * (1.0 + eps / 15.0) * sigma_sp
 
-    # counts[machine][group], and planned group start times replayed from 0
-    counts = tuple(
-        tuple(best_state.counts[g][i] for g in range(len(sketch.entries)))
-        for i in range(m)
-    )
-    # machine 1's timeline is replayed from the end of the head reservation
-    # (an additive shift would misalign slot boundaries on varying profiles)
-    reservation = eps * sketch.p_max / (3.0 * sketch.n)
-    starts = []
-    for i in range(m):
-        cur = reservation if i == 0 else 0.0
-        row = []
-        for g, (rp, _) in enumerate(sketch.entries):
-            row.append(cur)
-            c = counts[i][g]
-            if c:
-                _, cur = _batch(profiles[i], cur, c, float(rp))
-        starts.append(tuple(row))
+    # counts[machine][group]: one split per group along the winner's chain
+    splits = []
+    s = best_state
+    while s.parent is not None:
+        splits.append(s.part)
+        s = s.parent
+    counts = tuple(zip(*reversed(splits)))
 
     return Plan(
         V=V,
@@ -278,9 +285,8 @@ def plan(
         tau=sketch.tau,
         delta=delta,
         n=sketch.n,
-        small_reservation=reservation,
+        small_reservation=eps * sketch.p_max / (3.0 * sketch.n),
         groups=sketch.entries,
         counts=counts,
-        starts=tuple(starts),
         max_states=max_states,
     )

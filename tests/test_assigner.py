@@ -113,6 +113,19 @@ class TestEmit:
                 sum(p.completion for p in sched.placements)
             )
 
+    def test_profiles_other_than_planned_stay_feasible(self):
+        # slots are laid out on the profiles pass 2 is given, not the
+        # planned ones, so a slower machine stretches them instead of
+        # making them overlap
+        stream = [5, 9, 9, 14, 20]
+        pl = build_plan(stream, (flat_profile(1.0, 1),), eps=1.0, alpha0=0.5)
+        slow = (flat_profile(0.5, 1),)
+        sched, report = emit(pl, stream, slow)
+        jobs = tuple(Job(i + 1, p) for i, p in enumerate(stream))
+        sigma = evaluate_schedule(Instance(slow, jobs, 0.5), sched)
+        assert sigma == pytest.approx(sum(p.completion for p in sched.placements))
+        assert not report.mismatch
+
     @pytest.mark.parametrize("m", [1, 3])
     def test_profile_count_must_match_plan(self, m):
         profiles = (flat_profile(1.0, 1), flat_profile(1.0, 2))

@@ -1,13 +1,65 @@
 import json
+import math
+import re
 
 import pytest
 
-from streamsched import dump_profiles, flat_profile
+from streamsched import (
+    CapacityInterval,
+    MachineProfile,
+    dump_profiles,
+    flat_profile,
+)
 from streamsched.cli import CountingJobFile, RunConfig, main, pipeline
+
+# written while plans still carried the planned slot starts; the jobs are
+# OLDER_JOBS on OLDER_PROFILES at eps=1, alpha0=0.5
+OLDER_PLAN = (
+    '{"V": 1445.0962962962963, "alpha0": 0.5, "counts": [[0, 1, 1, 0, 1], '
+    '[1, 1, 0, 1, 0]], "delta": 0.004166666666666667, "eps": 1.0, "groups": '
+    '[{"n_k": 1, "rp": 3}, {"n_k": 2, "rp": 7}, {"n_k": 1, "rp": 12}, '
+    '{"n_k": 1, "rp": 18}, {"n_k": 1, "rp": 916}], "n": 8, "sigma_S_prime": '
+    '1016.0833333333334, "small_reservation": 37.5, "starts": [[37.5, 37.5, '
+    '44.5, 56.5, 56.5], [0.0, 3.333333333333333, 13.125, 13.125, 35.625]], '
+    '"tau": 0.03333333333333333}'
+)
+OLDER_JOBS = [3, 7, 7, 12, 1, 18, 1, 900]
+OLDER_PROFILES = (
+    MachineProfile(
+        1, (CapacityInterval(0.0, 2.5, 0.6), CapacityInterval(2.5, math.inf, 1.0))
+    ),
+    MachineProfile(
+        2,
+        (
+            CapacityInterval(0.0, 4.0, 0.9),
+            CapacityInterval(4.0, 7.0, 0.5),
+            CapacityInterval(7.0, math.inf, 0.8),
+        ),
+    ),
+)
 
 
 def write_jobs(path, ps):
     path.write_text("".join(f"{p}\n" for p in ps))
+
+
+def sketch_and_plan(tmp_path, jobs, profile, alpha0="1.0"):
+    """`sketch` at eps=1 then `approximate`; returns the plan file."""
+    sketch_out = tmp_path / "sketch.json"
+    plan_out = tmp_path / "plan.json"
+    assert main(
+        [
+            "sketch", "--jobs", str(jobs), "--eps", "1.0",
+            "--alpha0", alpha0, "--out", str(sketch_out),
+        ]
+    ) == 0
+    assert main(
+        [
+            "approximate", "--sketch", str(sketch_out),
+            "--profile", str(profile), "--out", str(plan_out),
+        ]
+    ) == 0
+    return plan_out
 
 
 @pytest.fixture
@@ -245,3 +297,77 @@ class TestSubcommands:
         )
         assert rc == 1
         assert "infeasible" in capsys.readouterr().out
+
+    def test_duplicate_machine_index_fails(self, tmp_path, capsys):
+        jobs = tmp_path / "jobs.txt"
+        write_jobs(jobs, [3, 3, 3, 3])
+        profile = tmp_path / "profile.json"
+        dump_profiles((flat_profile(1.0, 1), flat_profile(1.0, 1)), str(profile))
+        sketch_out = tmp_path / "sketch.json"
+        assert main(
+            [
+                "sketch", "--jobs", str(jobs), "--eps", "1.0",
+                "--alpha0", "1.0", "--out", str(sketch_out),
+            ]
+        ) == 0
+        rc = main(
+            [
+                "approximate", "--sketch", str(sketch_out),
+                "--profile", str(profile), "--out", str(tmp_path / "plan.json"),
+            ]
+        )
+        assert rc == 1
+        assert "error: machine index 1 appears twice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            ([[2]], r"group 1 \(rp=2\): counts \[\] do not split n_k=1 over 1"),
+            ([[1, 1]], r"group 0 \(rp=1\): counts \[1\] do not split n_k=2 over 1"),
+            ([[2, 1, 0]], "counts has entries past the last group 1"),
+        ],
+        ids=["short-row", "wrong-sum", "long-row"],
+    )
+    def test_schedule_counts_not_matching_groups_fails(
+        self, reference_files, tmp_path, capsys, counts, message
+    ):
+        jobs, profile = reference_files
+        plan_out = sketch_and_plan(tmp_path, jobs, profile)
+        obj = json.loads(plan_out.read_text())
+        assert [(g["rp"], g["n_k"]) for g in obj["groups"]] == [(1, 2), (2, 1)]
+        obj["counts"] = counts
+        plan_out.write_text(json.dumps(obj))
+        rc = main(
+            [
+                "schedule", "--plan", str(plan_out), "--jobs", str(jobs),
+                "--profile", str(profile), "--out", str(tmp_path / "s.csv"),
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1  # one line, no traceback
+        assert re.search(message, err)
+
+    def test_older_plan_schedules_like_a_fresh_one(self, tmp_path):
+        jobs = tmp_path / "jobs.txt"
+        write_jobs(jobs, OLDER_JOBS)
+        profile = tmp_path / "profile.json"
+        dump_profiles(OLDER_PROFILES, str(profile))
+        old_plan = tmp_path / "old_plan.json"
+        old_plan.write_text(OLDER_PLAN)
+        new_plan = sketch_and_plan(tmp_path, jobs, profile, alpha0="0.5")
+        assert "starts" not in json.loads(new_plan.read_text())
+        csvs = []
+        for pl in (old_plan, new_plan):
+            out = tmp_path / f"{pl.stem}.csv"
+            assert main(
+                [
+                    "schedule", "--plan", str(pl), "--jobs", str(jobs),
+                    "--profile", str(profile), "--out", str(out),
+                ]
+            ) == 0
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1]
+        # machine 1's first large slot starts after the small reservation
+        assert "2,1,37.5,44.5" in csvs[0].decode().splitlines()

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from streamsched import enumerate_partitions, is_valid_partition, ladder_values
+from streamsched import partition
 
 
 def all_compositions(b, m):
@@ -36,6 +37,17 @@ class TestEnumerate:
     def test_ordered_tuples_are_distinct(self):
         parts = enumerate_partitions(9, 3, 1.0)
         assert (2, 2, 5) in parts and (2, 5, 2) in parts
+
+    def test_single_machine_builds_no_ladder(self, monkeypatch):
+        def no_ladder(b, delta):
+            raise AssertionError("ladder built for one machine")
+
+        monkeypatch.setattr(partition, "ladder_values", no_ladder)
+        assert enumerate_partitions(7, 1, 7.3e-5) == {(7,)}
+        with pytest.raises(ValueError, match="b must be"):
+            enumerate_partitions(-1, 1, 0.5)
+        with pytest.raises(ValueError, match="delta must be"):
+            enumerate_partitions(3, 1, 0.0)
 
     def test_single_machine(self):
         assert enumerate_partitions(1, 1, 1.0) == {(1,)}

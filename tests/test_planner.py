@@ -17,8 +17,9 @@ from streamsched import (
     sketch_stream,
 )
 from streamsched import planner
+from streamsched.assigner import EmitterState
 from streamsched.model import Instance, Job, random_profile
-from streamsched.planner import ZERO, FrontierBoundError, empty_state
+from streamsched.planner import ZERO, FrontierBoundError, PlanState, empty_state
 
 import random
 
@@ -75,13 +76,12 @@ class TestAppendGroup:
 
 class TestSignature:
     def test_bucket_values(self):
-        s = empty_state(1)
-        s = s.__class__((10.0,), (10.0,), (20.0,), ((1,),))
+        s = PlanState((10.0,), (10.0,), (20.0,), empty_state(1), (1,))
         assert signature(s, 1.0) == ((3, 4),)
 
     def test_similar_states_share_signature(self):
-        a = empty_state(1).__class__((1.0,), (10.0,), (20.0,), ())
-        b = empty_state(1).__class__((1.0,), (15.0,), (30.0,), ())
+        a = PlanState((1.0,), (10.0,), (20.0,))
+        b = PlanState((1.0,), (15.0,), (30.0,))
         assert signature(a, 1.0) == signature(b, 1.0)
 
     def test_zero_symbol(self):
@@ -90,7 +90,7 @@ class TestSignature:
 
 class TestPrune:
     def _state(self, work, sigma):
-        return empty_state(1).__class__((0.0,), (work,), (sigma,), ())
+        return PlanState((0.0,), (work,), (sigma,))
 
     def test_keeps_smaller_sigma(self):
         a, b = self._state(10.0, 20.0), self._state(15.0, 30.0)
@@ -137,8 +137,9 @@ class TestPlan:
         pl = plan(sk, profiles, 1.0, 1.0)
         res = pl.small_reservation
         assert res == pytest.approx(1.0 * 4 / (3 * 4))
-        assert pl.starts[0][0] == pytest.approx(res)
-        assert pl.starts[1][0] == 0.0
+        cursor = EmitterState(pl, profiles).cursor
+        assert cursor[0][0] == pytest.approx(res)
+        assert cursor[1][0] == 0.0
 
     def test_trace_signatures_unique_and_bounded(self):
         rng = random.Random(2)
@@ -170,6 +171,12 @@ class TestPlan:
         match = r"group 0 .*frontier of 1 states exceeds the bound 0"
         with pytest.raises(FrontierBoundError, match=match):
             plan(sk, (flat_profile(1.0),), 1.0, 1.0)
+
+    def test_duplicate_machine_index_rejected(self):
+        # both machines would be labelled 1 in the emitted schedule
+        profiles = (flat_profile(1.0, 1), flat_profile(1.0, 1))
+        with pytest.raises(ValueError, match="machine index 1 appears twice"):
+            plan(make_sketch([3, 3, 3, 3]), profiles, 1.0, 1.0)
 
     def test_profile_below_alpha0_rejected(self):
         profiles = (flat_profile(1.0, 1), flat_profile(0.1, 2))
