@@ -3,7 +3,8 @@
 Each incoming job is matched to a remaining (machine, group) slot by rounded
 processing time; when a bucket's slots are exhausted (or the job rounds below
 every group) the job joins the small pile on machine 1. Working space is the
-plan's m-by-mu counters plus the single in-flight job.
+plan's m-by-mu counters, a map from the buckets seen to their groups and the
+single in-flight job.
 
 Large jobs start exactly at their slot time. The slots are laid out on the
 profiles pass 2 is given, and a job's true length never exceeds the rounded
@@ -44,51 +45,68 @@ class EmitReport:
 class EmitterState:
     """Mutable pass-2 cursors; O(m * number of groups) counters.
 
-    Each machine's slot timeline is laid out once from the plan's counts on
-    the given profiles: groups run back to back in size order, machine 1's
-    after the small-job reservation at its head."""
+    Slots are kept in work coordinates: `slot_work[i][g]` is the work machine
+    i has delivered when the next unused slot of group g starts. Groups run
+    back to back in size order, machine 1's after the small-job reservation
+    at its head, so the table is built from the plan's counts alone."""
 
     def __init__(self, plan: Plan, profiles: tuple[MachineProfile, ...]):
         self.plan = plan
         self.group_by_rp = {rp: g for g, (rp, _nk) in enumerate(plan.groups)}
+        self.group_by_bucket: dict[int, int | None] = {}  # filled as buckets arrive
         self.remaining = [list(row) for row in plan.counts]
-        self.cursor = []  # [machine][group]: start of the next unused slot
+        # per group: the first machine that may still have a slot of it
+        self.next_machine = [0] * len(plan.groups)
+        self.slot_work = []
         ends = []
-        for i, (profile, row) in enumerate(zip(profiles, plan.counts)):
-            t = plan.small_reservation if i == 0 else 0.0
+        for i, row in enumerate(plan.counts):
+            w = profiles[0].work_at(plan.small_reservation) if i == 0 else 0.0
             starts = []
             for (rp, _nk), c in zip(plan.groups, row):
-                starts.append(t)
-                for _ in range(c):
-                    t = work_to_time(profile, t, float(rp))
-            self.cursor.append(starts)
-            ends.append(t)
+                starts.append(w)
+                w += c * rp
+            self.slot_work.append(starts)
+            ends.append(w)
         self.small_cursor = 0.0
         # smalls must finish before machine 1's first large slot; the ones
         # that do not fit go past the end of its timeline
         self.head_limit = plan.small_reservation if any(plan.counts[0]) else math.inf
-        self.tail_cursor = ends[0]
+        self.tail_cursor = profiles[0].time_at(ends[0])
+
+    def bucket_group(self, k: int):
+        """The plan group of bucket k, or None when no group has its rounded size."""
+        if k not in self.group_by_bucket:
+            rp = rounded_value(k, self.plan.tau)
+            self.group_by_bucket[k] = self.group_by_rp.get(rp)
+        return self.group_by_bucket[k]
+
+    def free_machine(self, g: int):
+        """First machine with an unconsumed slot of group g, else None."""
+        remaining = self.remaining
+        i = self.next_machine[g]
+        while i < len(remaining) and remaining[i][g] == 0:
+            i += 1
+        self.next_machine[g] = i
+        return i if i < len(remaining) else None
 
 
 def classify(p: int, plan: Plan, state: EmitterState):
     """Group index for a large job with an unconsumed slot, else None (small)."""
     if p < 1:
         raise ValueError("processing time must be >= 1")
-    rp = rounded_value(bucket_index(p, plan.tau), plan.tau)
-    g = state.group_by_rp.get(rp)
-    if g is None:
+    g = state.bucket_group(bucket_index(p, plan.tau))
+    if g is None or state.free_machine(g) is None:
         return None
-    if any(row[g] > 0 for row in state.remaining):
-        return g
-    return None
+    return g
 
 
 def emit(
     plan: Plan, stream, profiles: tuple[MachineProfile, ...]
 ) -> tuple[Schedule, EmitReport]:
     """Place every job of the stream; the stream must be the pass-1 multiset
-    (any order). Completions use the job's true processing time; the slot
-    cursor advances by the rounded length, to the start of the next slot.
+    (any order). A large job starts where its slot starts, G^-1 of the slot's
+    work coordinate, and completes after its true processing time; the slot
+    coordinate then advances by the rounded length, to the next slot.
     Raises ValueError when the profile count differs from the plan's."""
     if len(profiles) != len(plan.counts):
         raise ValueError(
@@ -101,12 +119,11 @@ def emit(
         report.n_jobs += 1
         g = classify(p, plan, state)
         if g is None:
-            rp = rounded_value(bucket_index(p, plan.tau), plan.tau)
-            if rp in state.group_by_rp:
+            if state.bucket_group(bucket_index(p, plan.tau)) is not None:
                 report.bucket_overflow += 1
             placements.append(_place_small(state, report, job_id, p, profiles[0]))
         else:
-            placements.append(_place_large(state, report, job_id, p, g, profiles))
+            placements.append(_place_large(state, job_id, p, g, profiles))
     if report.n_jobs != plan.n:
         raise StreamMismatchError(
             f"pass 2 saw {report.n_jobs} jobs, plan expects {plan.n}"
@@ -114,13 +131,16 @@ def emit(
     return Schedule(tuple(placements)), report
 
 
-def _place_large(state, report, job_id, p, g, profiles):
-    machine = next(i for i, row in enumerate(state.remaining) if row[g] > 0)
+def _place_large(state, job_id, p, g, profiles):
+    machine = state.next_machine[g]
     profile = profiles[machine]
-    rp = state.plan.groups[g][0]
-    start = state.cursor[machine][g]
+    w = state.slot_work[machine][g]
+    start = profile.time_at(w)
+    # the completion is walked from the start, not read off G^-1(w + p):
+    # deep in a timeline the difference of two G^-1 values loses the digits
+    # the evaluator needs to see exactly p units of work
     completion = work_to_time(profile, start, float(p))
-    state.cursor[machine][g] = work_to_time(profile, start, float(rp))
+    state.slot_work[machine][g] = w + state.plan.groups[g][0]
     state.remaining[machine][g] -= 1
     return PlacedJob(job_id, profile.machine_index, start, completion)
 

@@ -75,12 +75,30 @@ class MachineProfile:
                 raise ValueError("intervals must be contiguous")
         if self.intervals[-1].end != math.inf:
             raise ValueError("last interval must be unbounded")
+        # the cumulative-capacity table: work delivered by each interval start
+        works = [0.0]
+        for iv in self.intervals[:-1]:
+            works.append(works[-1] + iv.alpha * (iv.end - iv.start))
         object.__setattr__(
             self, "_starts", tuple(iv.start for iv in self.intervals)
+        )
+        object.__setattr__(self, "_works", tuple(works))
+        object.__setattr__(
+            self, "_alphas", tuple(iv.alpha for iv in self.intervals)
         )
 
     def interval_index_at(self, t: float) -> int:
         return bisect_right(self._starts, t) - 1
+
+    def work_at(self, t: float) -> float:
+        """G(t): the work delivered over [0, t)."""
+        i = bisect_right(self._starts, t) - 1
+        return self._works[i] + self._alphas[i] * (t - self._starts[i])
+
+    def time_at(self, work: float) -> float:
+        """G^-1(work): the earliest time by which `work` has been delivered."""
+        i = bisect_right(self._works, work) - 1
+        return self._starts[i] + (work - self._works[i]) / self._alphas[i]
 
     @property
     def min_alpha(self) -> float:
@@ -139,6 +157,7 @@ class Instance:
         if not 0.0 < self.alpha0 <= 1.0:
             raise ValueError(f"alpha0 must be in (0, 1], got {self.alpha0}")
         require_alpha0(self.machines, self.alpha0)
+        require_distinct_machines(self.machines)
         ids = [j.id for j in self.jobs]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate job ids")
@@ -167,27 +186,29 @@ class Schedule:
 
 
 def work_to_time(profile: MachineProfile, start: float, work: float) -> float:
-    """Smallest t >= start such that the capacity integral over [start, t) is `work`."""
+    """Smallest t >= start such that the capacity integral over [start, t) is `work`.
+
+    Work that fits in the interval holding `start` is divided by its capacity
+    there. Otherwise the interval holding G(start) + work is found by one
+    bisect in the profile's cumulative-capacity table, whatever the number of
+    intervals crossed, and the work left after the start's own interval is
+    spent from there; with one boundary crossed, no table entry enters the
+    result, so a short job deep in the timeline keeps its digits.
+    """
     if start < 0:
         raise ValueError("start must be >= 0")
     if work < 0:
         raise ValueError("work must be >= 0")
     if work == 0:
         return start
-    idx = profile.interval_index_at(start)
-    intervals = profile.intervals
-    t = start
-    remaining = work
-    while True:
-        iv = intervals[idx]
-        if iv.end == math.inf:
-            return t + remaining / iv.alpha
-        chunk = iv.alpha * (iv.end - t)
-        if chunk >= remaining:
-            return t + remaining / iv.alpha
-        remaining -= chunk
-        t = iv.end
-        idx += 1
+    i = bisect_right(profile._starts, start) - 1
+    iv = profile.intervals[i]
+    rest = work - iv.alpha * (iv.end - start)  # left at the end of interval i
+    if rest <= 0:
+        return start + work / iv.alpha
+    works = profile._works
+    j = bisect_right(works, works[i + 1] + rest) - 1
+    return profile._starts[j] + (rest - (works[j] - works[i + 1])) / profile._alphas[j]
 
 
 def work_between(profile: MachineProfile, t0: float, t1: float) -> float:
@@ -209,7 +230,6 @@ def work_between(profile: MachineProfile, t0: float, t1: float) -> float:
 
 @dataclass(frozen=True)
 class BatchResult:
-    completions: tuple[float, ...]
     sigma: float
     finish: float
 
@@ -217,19 +237,38 @@ class BatchResult:
 def run_batch(
     profile: MachineProfile, start: float, count: int, length: float
 ) -> BatchResult:
-    """Schedule `count` identical jobs of `length` back-to-back from `start`."""
+    """Schedule `count` identical jobs of `length` back-to-back from `start`.
+
+    Job j (from 1) completes at G^-1(G(start) + j*length). G^-1 is affine
+    within one interval, so the completions that fall in it form an
+    arithmetic series, summed in closed form: the cost grows with the
+    intervals the batch crosses, not with `count`.
+    """
     if count < 0:
         raise ValueError("count must be >= 0")
     if length <= 0:
         raise ValueError("length must be > 0")
-    completions = []
-    t = start
+    if count == 0:
+        return BatchResult(0.0, start)
+    starts, works, alphas = profile._starts, profile._works, profile._alphas
+    last = len(works) - 1
+    i = bisect_right(starts, start) - 1
+    w0 = works[i] + alphas[i] * (start - starts[i])
+    base = start  # where job j completes at base + j * length / alpha
     sigma = 0.0
-    for _ in range(count):
-        t = work_to_time(profile, t, length)
-        completions.append(t)
-        sigma += t
-    return BatchResult(tuple(completions), sigma, t)
+    done = 0
+    while True:
+        step = length / alphas[i]
+        # jobs done+1..hi complete in interval i: w0 + j*length <= works[i+1]
+        hi = count if i == last else min(count, int((works[i + 1] - w0) // length))
+        if hi > done:
+            c = hi - done
+            sigma += c * base + step * ((done + 1 + hi) * c // 2)
+            done = hi
+            if done == count:
+                return BatchResult(sigma, base + count * step)
+        i += 1
+        base = starts[i] - (works[i] - w0) / alphas[i]
 
 
 def evaluate_schedule(instance: Instance, schedule: Schedule) -> float:

@@ -17,6 +17,7 @@ from .model import (
     MachineProfile,
     require_alpha0,
     require_distinct_machines,
+    run_batch,
     work_to_time,
 )
 from .partition import PartitionTuple, enumerate_partitions
@@ -35,11 +36,11 @@ class FrontierBoundError(Exception):
 
 @dataclass(frozen=True, slots=True)
 class PlanState:
-    """Partial-schedule fingerprint: per-machine finish/work/total-completion,
-    plus the state it extends and the split of the group that extended it
-    (None for the empty schedule); the count matrix is read off this chain."""
+    """Partial-schedule fingerprint: per-machine work/total-completion, plus
+    the state it extends and the split of the group that extended it (None
+    for the empty schedule); the count matrix is read off this chain. Jobs
+    run back to back from time 0, so machine i finishes at G_i^-1(work[i])."""
 
-    finish: tuple[float, ...]
     work: tuple[float, ...]
     sigma: tuple[float, ...]
     parent: PlanState | None = None
@@ -52,7 +53,7 @@ class PlanState:
 
 def empty_state(m: int) -> PlanState:
     zeros = (0.0,) * m
-    return PlanState(zeros, zeros, zeros)
+    return PlanState(zeros, zeros)
 
 
 def delta_from(sketch: Sketch, eps: float, alpha0: float) -> float:
@@ -63,16 +64,6 @@ def delta_from(sketch: Sketch, eps: float, alpha0: float) -> float:
     return eps * alpha0 / (24.0 * mu)
 
 
-def _batch(profile: MachineProfile, start: float, count: int, length: float):
-    """(added sigma, finish) of `count` identical jobs back-to-back from start."""
-    t = start
-    sigma = 0.0
-    for _ in range(count):
-        t = work_to_time(profile, t, length)
-        sigma += t
-    return sigma, t
-
-
 def append_group(
     state: PlanState,
     rp: int,
@@ -80,24 +71,25 @@ def append_group(
     profiles: tuple[MachineProfile, ...],
     memo: dict | None = None,
 ) -> PlanState:
-    """Extend a partial schedule with one group split across machines."""
-    finish = list(state.finish)
+    """Extend a partial schedule with one group split across machines.
+
+    `memo` maps (machine, work, count) to the batch's added completion time;
+    the batch starts where the machine's work runs out."""
     work = list(state.work)
     sigma = list(state.sigma)
     for i, count in enumerate(part):
         if count == 0:
             continue
-        key = (i, finish[i], count)
-        hit = memo.get(key) if memo is not None else None
-        if hit is None:
-            hit = _batch(profiles[i], finish[i], count, float(rp))
+        key = (i, work[i], count)
+        dsigma = memo.get(key) if memo is not None else None
+        if dsigma is None:
+            finish = work_to_time(profiles[i], 0.0, work[i])
+            dsigma = run_batch(profiles[i], finish, count, float(rp)).sigma
             if memo is not None:
-                memo[key] = hit
-        dsigma, end = hit
+                memo[key] = dsigma
         sigma[i] += dsigma
-        finish[i] = end
         work[i] += count * rp
-    return PlanState(tuple(finish), tuple(work), tuple(sigma), state, tuple(part))
+    return PlanState(tuple(work), tuple(sigma), state, tuple(part))
 
 
 def _gbucket(v: float, inv_log: float):

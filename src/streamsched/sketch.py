@@ -10,6 +10,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 
@@ -55,23 +56,20 @@ def _power(tau: float, k: int) -> float:
 def bucket_index(p: int, tau: float) -> int:
     """The unique k >= 1 with (1+tau)^(k-1) <= p < (1+tau)^k.
 
-    A log-based seed index is corrected by direct comparison against the
-    memoized power table, so boundary values are handled deterministically.
+    Found by bisection in the memoized power table, grown first until its
+    last entry exceeds p, so boundary values are handled deterministically.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
     if tau <= 0:
         raise ValueError("tau must be > 0")
-    if p == 1:
-        return 1
-    k = int(math.log(p) / math.log1p(tau)) + 1
-    if k < 1:
-        k = 1
-    while _power(tau, k) <= p:
-        k += 1
-    while k > 1 and _power(tau, k - 1) > p:
-        k -= 1
-    return k
+    table = _POWER_TABLES.get(tau)
+    if table is None or p >= table[-1]:
+        k = len(table) if table else 1
+        while _power(tau, k) <= p:
+            k += 1
+        table = _POWER_TABLES[tau]
+    return bisect_right(table, p)
 
 
 def rounded_value(k: int, tau: float) -> int:

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -6,18 +7,20 @@ from streamsched import (
     Instance,
     Job,
     KnowledgeMode,
+    Plan,
     StreamMismatchError,
     brute_force_opt,
+    bucket_index,
     classify,
     emit,
     evaluate_schedule,
     flat_profile,
     plan,
+    rounded_value,
     sketch_stream,
 )
 from streamsched.assigner import EmitterState
-
-from streamsched.model import random_profile
+from streamsched.model import CapacityInterval, MachineProfile, random_profile
 
 
 def build_plan(stream, profiles, eps=1.0, alpha0=1.0, mode=None):
@@ -138,6 +141,51 @@ class TestEmit:
         pl = build_plan([1, 1, 2], (unit_profile,))
         with pytest.raises(StreamMismatchError):
             emit(pl, [1, 2], (unit_profile,))
+
+
+def hand_plan(groups, counts, n, small_reservation=0.0):
+    """A plan pass 2 can replay, without running pass 1 or the planner."""
+    return Plan(
+        V=0.0, sigma_S_prime=0.0, eps=1.0, alpha0=0.5, tau=1 / 30, delta=0.01,
+        n=n, small_reservation=small_reservation, groups=groups, counts=counts,
+    )
+
+
+class TestHandBuiltPlans:
+    def test_overflow_past_the_reservation_goes_to_the_tail(self):
+        # the second job finds its bucket's only slot taken, and at 14 time
+        # units it cannot fit in the 0.01 reservation ahead of that slot
+        tau = 1 / 30
+        rp = rounded_value(bucket_index(7, tau), tau)
+        pl = hand_plan(((rp, 1),), ((1,),), 2, small_reservation=0.01)
+        profiles = (flat_profile(0.5),)
+        sched, report = emit(pl, [rp, rp], profiles)
+        assert report.bucket_overflow == 1
+        assert report.reservation_overflow == 1
+        first, second = sched.placements
+        assert first.start == pytest.approx(0.01)
+        assert second.start == pytest.approx(first.completion)
+        assert second.start == pytest.approx(14.01)
+        jobs = (Job(1, rp), Job(2, rp))
+        sigma = evaluate_schedule(Instance(profiles, jobs, 0.5), sched)
+        assert sigma == pytest.approx(first.completion + second.completion)
+
+    def test_deep_slots_keep_their_work(self):
+        # slots past 6e7 units of work: the job's 3 units must survive the
+        # evaluator's 1e-9 check there (G^-1(w + 3) - G^-1(w) does not); the
+        # state is built from the counts, not by walking the 6e7 unit slots
+        tau = 1 / 30
+        rp3 = rounded_value(bucket_index(3, tau), tau)
+        pl = hand_plan(((1, 6 * 10**7), (rp3, 2000)), ((6 * 10**7, 2000),), 2000)
+        profile = MachineProfile(1, (
+            CapacityInterval(0.0, 1.4781709706385704, 0.7963204553135828),
+            CapacityInterval(1.4781709706385704, math.inf, 0.9579724058654906),
+        ))
+        sched, report = emit(pl, [3] * 2000, (profile,))
+        assert not report.mismatch and report.small_placed == 0
+        jobs = tuple(Job(i, 3) for i in range(1, 2001))
+        sigma = evaluate_schedule(Instance((profile,), jobs, 0.5), sched)
+        assert sigma == pytest.approx(sum(p.completion for p in sched.placements))
 
 
 class TestThresholdBoundary:

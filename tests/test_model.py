@@ -52,20 +52,39 @@ class TestWorkToTime:
 class TestRunBatch:
     def test_full_capacity_prefix_sums(self, unit_profile):
         res = run_batch(unit_profile, 0, 3, 1)
-        assert res.completions == (1, 2, 3)
-        assert res.sigma == 6
+        completions = [work_to_time(unit_profile, 0, j) for j in (1, 2, 3)]
+        assert completions == [1, 2, 3]
+        assert res.sigma == sum(completions) == 6
         assert res.finish == 3
 
     def test_half_capacity_doubles(self):
-        res = run_batch(flat_profile(0.5), 0, 3, 1)
-        assert res.completions == (2, 4, 6)
-        assert res.sigma == 12
+        prof = flat_profile(0.5)
+        res = run_batch(prof, 0, 3, 1)
+        completions = [work_to_time(prof, 0, j) for j in (1, 2, 3)]
+        assert completions == [2, 4, 6]
+        assert res.sigma == sum(completions) == 12
+        assert res.finish == 6
 
     def test_empty_batch(self, unit_profile):
         res = run_batch(unit_profile, 5.0, 0, 1)
-        assert res.completions == ()
         assert res.sigma == 0
         assert res.finish == 5.0
+
+
+class TestInstance:
+    def test_repeated_machine_index_rejected(self):
+        # evaluate_schedule keys profiles by index and would drop one
+        profiles = (flat_profile(1.0, 1), flat_profile(0.5, 1))
+        with pytest.raises(ValueError, match="machine index 1 appears twice"):
+            Instance(profiles, (Job(1, 4), Job(2, 4)), 0.5)
+
+
+class TestWorkCoordinates:
+    def test_work_at_and_time_at_invert(self):
+        prof = make_profile([(2, 1.0), (2, 0.5), (None, 0.25)])
+        for t, w in [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (3.0, 2.5), (6.0, 3.5)]:
+            assert prof.work_at(t) == w
+            assert prof.time_at(w) == t
 
 
 class TestEvaluateSchedule:
@@ -154,6 +173,19 @@ def test_work_to_time_inverse_consistency(prof_alpha, start, work):
     prof, _ = prof_alpha
     t = work_to_time(prof, start, work)
     assert work_between(prof, start, t) == pytest.approx(work, rel=1e-9, abs=1e-9)
+
+
+@given(profile_strategy, st.floats(0, 20), st.integers(0, 40), st.integers(1, 9))
+def test_batch_matches_job_by_job_walk(prof_alpha, start, count, p):
+    # the closed form against the walk it replaced, one job at a time
+    prof, _ = prof_alpha
+    t, sigma = start, 0.0
+    for _ in range(count):
+        t = work_to_time(prof, t, p)
+        sigma += t
+    res = run_batch(prof, start, count, p)
+    assert res.finish == pytest.approx(t, rel=1e-12)
+    assert res.sigma == pytest.approx(sigma, rel=1e-12)
 
 
 @given(profile_strategy, st.floats(0, 20), st.integers(0, 5), st.integers(0, 5),

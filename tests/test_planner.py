@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -18,10 +19,12 @@ from streamsched import (
 )
 from streamsched import planner
 from streamsched.assigner import EmitterState
-from streamsched.model import Instance, Job, random_profile
+from streamsched.model import Instance, Job, random_profile, work_to_time
 from streamsched.planner import ZERO, FrontierBoundError, PlanState, empty_state
 
 import random
+
+from conftest import make_profile
 
 
 def make_sketch(stream, eps=1.0, alpha0=1.0):
@@ -58,11 +61,11 @@ class TestAppendGroup:
         profiles = (unit_profile,)
         s0 = empty_state(1)
         s1 = append_group(s0, 1, (2,), profiles)
-        assert s1.finish == (2.0,)
+        assert work_to_time(unit_profile, 0.0, s1.work[0]) == 2.0
         assert s1.work == (2.0,)
         assert s1.sigma == (3.0,)
         s2 = append_group(s1, 2, (1,), profiles)
-        assert s2.finish == (4.0,)
+        assert work_to_time(unit_profile, 0.0, s2.work[0]) == 4.0
         assert s2.work == (4.0,)
         assert s2.sigma == (7.0,)
 
@@ -70,18 +73,18 @@ class TestAppendGroup:
         profiles = (flat_profile(1.0, 1), flat_profile(1.0, 2))
         s0 = empty_state(2)
         s1 = append_group(s0, 3, (0, 2), profiles)
-        assert s1.finish[0] == 0.0 and s1.sigma[0] == 0.0
-        assert s1.finish[1] == 6.0
+        assert s1.work[0] == 0.0 and s1.sigma[0] == 0.0
+        assert work_to_time(profiles[1], 0.0, s1.work[1]) == 6.0
 
 
 class TestSignature:
     def test_bucket_values(self):
-        s = PlanState((10.0,), (10.0,), (20.0,), empty_state(1), (1,))
+        s = PlanState((10.0,), (20.0,), empty_state(1), (1,))
         assert signature(s, 1.0) == ((3, 4),)
 
     def test_similar_states_share_signature(self):
-        a = PlanState((1.0,), (10.0,), (20.0,))
-        b = PlanState((1.0,), (15.0,), (30.0,))
+        a = PlanState((10.0,), (20.0,))
+        b = PlanState((15.0,), (30.0,))
         assert signature(a, 1.0) == signature(b, 1.0)
 
     def test_zero_symbol(self):
@@ -90,7 +93,7 @@ class TestSignature:
 
 class TestPrune:
     def _state(self, work, sigma):
-        return PlanState((0.0,), (work,), (sigma,))
+        return PlanState((work,), (sigma,))
 
     def test_keeps_smaller_sigma(self):
         a, b = self._state(10.0, 20.0), self._state(15.0, 30.0)
@@ -137,9 +140,9 @@ class TestPlan:
         pl = plan(sk, profiles, 1.0, 1.0)
         res = pl.small_reservation
         assert res == pytest.approx(1.0 * 4 / (3 * 4))
-        cursor = EmitterState(pl, profiles).cursor
-        assert cursor[0][0] == pytest.approx(res)
-        assert cursor[1][0] == 0.0
+        slot_work = EmitterState(pl, profiles).slot_work
+        assert slot_work[0][0] == pytest.approx(profiles[0].work_at(res))
+        assert slot_work[1][0] == 0.0
 
     def test_trace_signatures_unique_and_bounded(self):
         rng = random.Random(2)
@@ -211,6 +214,25 @@ def _random_case(seed, n, m, eps, alpha0, max_p):
     profiles = tuple(random_profile(rng, alpha0, i + 1) for i in range(m))
     stream = [rng.randint(1, max_p) for _ in range(n)]
     return sketch_stream(stream, eps, alpha0), profiles
+
+
+class TestBatchExactness:
+    def test_unit_jobs_match_exact_sum(self):
+        # 2e5 unit jobs in one batch: the closed form against an exact
+        # rational sum (a job-by-job walk drifts by about 1e-12 here)
+        a1, end, a2 = 0.7963204553135828, 1234.5678, 0.9579724058654906
+        profile = make_profile([(end, a1), (None, a2)])
+        n = 200_000
+        sk = make_sketch([1] * n, 1.0, 0.5)
+        assert sk.entries == ((1, n),)
+        got = plan(sk, (profile,), 1.0, 0.5).sigma_S_prime
+        a1, end, a2 = Fraction(a1), Fraction(end), Fraction(a2)
+        head = a1 * end  # work delivered in the first piece
+        exact = sum(
+            Fraction(j) / a1 if j <= head else end + (j - head) / a2
+            for j in range(1, n + 1)
+        )
+        assert abs(Fraction(got) - exact) <= Fraction(1, 10**14) * exact
 
 
 class TestPlannerScale:
