@@ -90,16 +90,6 @@ class EmitterState:
         return i if i < len(remaining) else None
 
 
-def classify(p: int, plan: Plan, state: EmitterState):
-    """Group index for a large job with an unconsumed slot, else None (small)."""
-    if p < 1:
-        raise ValueError("processing time must be >= 1")
-    g = state.bucket_group(bucket_index(p, plan.tau))
-    if g is None or state.free_machine(g) is None:
-        return None
-    return g
-
-
 def emit(
     plan: Plan, stream, profiles: tuple[MachineProfile, ...]
 ) -> tuple[Schedule, EmitReport]:
@@ -117,10 +107,13 @@ def emit(
     placements = []
     for job_id, p in enumerate(stream, start=1):
         report.n_jobs += 1
-        g = classify(p, plan, state)
+        if p < 1:
+            raise ValueError("processing time must be >= 1")
+        g = state.bucket_group(bucket_index(p, plan.tau))
+        if g is not None and state.free_machine(g) is None:
+            report.bucket_overflow += 1
+            g = None
         if g is None:
-            if state.bucket_group(bucket_index(p, plan.tau)) is not None:
-                report.bucket_overflow += 1
             placements.append(_place_small(state, report, job_id, p, profiles[0]))
         else:
             placements.append(_place_large(state, job_id, p, g, profiles))

@@ -1,45 +1,13 @@
-"""Command-line pipeline: instance generation, pass-1 sketching, planning,
+"""Command-line subcommands: instance generation, pass-1 sketching, planning,
 pass-2 emission, the brute-force oracle, and schedule evaluation."""
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
-from dataclasses import dataclass, field
 
 from . import assigner, model, oracle, planner, sketch as sketch_mod
 from .model import Instance, Job, ScheduleError
-
-
-class CountingJobFile:
-    """Job stream reader that records how many passes were taken."""
-
-    def __init__(self, path: str):
-        self.path = path
-        self.passes = 0
-
-    def __iter__(self):
-        self.passes += 1
-        return sketch_mod.iter_job_stream(self.path)
-
-
-@dataclass
-class RunConfig:
-    eps: float
-    alpha0: float
-    jobs_path: str
-    profile_path: str
-    n_upper: int | None = None
-    pmax_lower: int | None = None
-    with_schedule: bool = True
-    compute_opt: bool = False
-
-    def __post_init__(self):
-        if not 0.0 < self.eps <= 1.0:
-            raise ValueError("eps must be in (0, 1]")
-        if not 0.0 < self.alpha0 <= 1.0:
-            raise ValueError("alpha0 must be in (0, 1]")
 
 
 def gen(
@@ -65,41 +33,6 @@ def gen(
         model.random_profile(rng, alpha0, i + 1, intervals) for i in range(machines)
     )
     model.dump_profiles(profiles, profile_out)
-
-
-def pipeline(config: RunConfig) -> dict:
-    """sketch -> plan -> (optionally) emit; oracle comparison when requested."""
-    profiles = model.load_profiles(config.profile_path)
-    reader = CountingJobFile(config.jobs_path)
-    mode = sketch_mod.KnowledgeMode(
-        n_upper=config.n_upper, pmax_lower=config.pmax_lower
-    )
-    sk = sketch_mod.sketch_stream(iter(reader), config.eps, config.alpha0, mode)
-    pl = planner.plan(sk, profiles, config.eps, config.alpha0)
-    report = {
-        "V": pl.V,
-        "n": sk.n,
-        "p_max": sk.p_max,
-        "sketch_entries": len(sk.entries),
-        "max_states": pl.max_states,
-        "passes": reader.passes,
-    }
-    if config.with_schedule:
-        schedule, emit_report = assigner.emit(pl, iter(reader), profiles)
-        report["sigma_emitted"] = sum(p.completion for p in schedule.placements)
-        report["bucket_overflow"] = emit_report.bucket_overflow
-        report["reservation_overflow"] = emit_report.reservation_overflow
-        report["passes"] = reader.passes
-    if config.compute_opt:
-        jobs = tuple(
-            Job(i, p)
-            for i, p in enumerate(sketch_mod.iter_job_stream(config.jobs_path), 1)
-        )
-        instance = Instance(profiles, jobs, config.alpha0)
-        result = oracle.brute_force_opt(instance)
-        report["opt"] = result.opt_value
-        report["ratio"] = pl.V / result.opt_value
-    return report
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -354,10 +354,31 @@ def load_profiles(path: str) -> tuple[MachineProfile, ...]:
     return profiles_from_obj(raw)
 
 
+def require_keys(obj, keys, what: str) -> None:
+    """Raise ValueError naming `what` unless obj is a JSON object (a dict)
+    holding every key."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{what} has no {key!r} key")
+
+
 def profiles_from_obj(raw: list[dict]) -> tuple[MachineProfile, ...]:
+    """Raises ValueError naming the problem when raw is not a non-empty list
+    of machines, each with a non-empty list of pieces."""
+    if not isinstance(raw, list) or not raw:
+        raise ValueError("profile JSON must hold a non-empty list of machines")
     profiles = []
     for entry in raw:
-        pieces = entry["pieces"]
+        require_keys(entry, ("machine", "pieces"), "profile JSON machine entry")
+        machine, pieces = entry["machine"], entry["pieces"]
+        if not isinstance(pieces, list) or not pieces:
+            raise ValueError(
+                f"profile JSON machine {machine} needs a non-empty list of pieces"
+            )
+        for piece in pieces:
+            require_keys(piece, ("end", "alpha"), f"profile JSON machine {machine} piece")
         if any(p["end"] is None for p in pieces[:-1]) or pieces[-1]["end"] is not None:
             raise ValueError("exactly the last piece must have end=null")
         intervals = []
@@ -366,7 +387,7 @@ def profiles_from_obj(raw: list[dict]) -> tuple[MachineProfile, ...]:
             end = math.inf if piece["end"] is None else float(piece["end"])
             intervals.append(CapacityInterval(t, end, float(piece["alpha"])))
             t = end
-        profiles.append(MachineProfile(int(entry["machine"]), tuple(intervals)))
+        profiles.append(MachineProfile(int(machine), tuple(intervals)))
     require_distinct_machines(profiles)
     return tuple(profiles)
 
@@ -401,9 +422,15 @@ def write_schedule_csv(schedule: Schedule, path: str) -> None:
 
 
 def read_schedule_csv(path: str) -> Schedule:
+    """Raises ValueError naming the first missing column; a short row reads
+    its missing fields as empty, which float() and int() reject."""
     placements = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
+        reader = csv.DictReader(fh, restval="")
+        for column in ("job_id", "machine", "start", "completion"):
+            if column not in (reader.fieldnames or ()):
+                raise ValueError(f"schedule CSV has no {column!r} column")
+        for row in reader:
             placements.append(
                 PlacedJob(
                     int(row["job_id"]),

@@ -57,13 +57,3 @@ def enumerate_partitions(b: int, m: int, delta: float) -> set[PartitionTuple]:
             result.add(tup)
     return result
 
-
-def is_valid_partition(parts: PartitionTuple, b: int, delta: float) -> bool:
-    """True iff parts sums to b and >= m-1 entries are ladder values."""
-    if any(x < 0 for x in parts):
-        return False
-    if sum(parts) != b:
-        return False
-    ladder = set(ladder_values(b, delta))
-    on_ladder = sum(1 for x in parts if x in ladder)
-    return on_ladder >= len(parts) - 1

@@ -17,6 +17,7 @@ from .model import (
     MachineProfile,
     require_alpha0,
     require_distinct_machines,
+    require_keys,
     run_batch,
     work_to_time,
 )
@@ -69,24 +70,24 @@ def append_group(
     rp: int,
     part: PartitionTuple,
     profiles: tuple[MachineProfile, ...],
-    memo: dict | None = None,
+    memo: dict,
 ) -> PlanState:
     """Extend a partial schedule with one group split across machines.
 
     `memo` maps (machine, work, count) to the batch's added completion time;
-    the batch starts where the machine's work runs out."""
+    the batch starts where the machine's work runs out. The key leaves out
+    rp, so a memo serves one group only."""
     work = list(state.work)
     sigma = list(state.sigma)
     for i, count in enumerate(part):
         if count == 0:
             continue
         key = (i, work[i], count)
-        dsigma = memo.get(key) if memo is not None else None
+        dsigma = memo.get(key)
         if dsigma is None:
             finish = work_to_time(profiles[i], 0.0, work[i])
             dsigma = run_batch(profiles[i], finish, count, float(rp)).sigma
-            if memo is not None:
-                memo[key] = dsigma
+            memo[key] = dsigma
         sigma[i] += dsigma
         work[i] += count * rp
     return PlanState(tuple(work), tuple(sigma), state, tuple(part))
@@ -128,6 +129,12 @@ def prune(states, delta: float) -> list[PlanState]:
     return list(best.values())
 
 
+_PLAN_KEYS = (
+    "V", "sigma_S_prime", "eps", "alpha0", "tau", "delta", "n",
+    "small_reservation", "groups", "counts",
+)
+
+
 @dataclass
 class Plan:
     """Selected schedule of the sketch jobs plus everything pass 2 needs."""
@@ -148,6 +155,8 @@ class Plan:
         """Raise ValueError naming the group unless every machine's `counts`
         row has one entry per group and each group's entries split its n_k."""
         m = len(self.counts)
+        if m == 0:
+            raise ValueError("plan has no machine rows in counts")
         for g, (rp, n_k) in enumerate(self.groups):
             col = [row[g] for row in self.counts if g < len(row)]
             if len(col) < m or min(col, default=0) < 0 or sum(col) != n_k:
@@ -177,8 +186,11 @@ class Plan:
     @classmethod
     def from_json(cls, text: str) -> "Plan":
         """Keys this format no longer uses (older files carry a few, such as
-        `starts`) are ignored."""
+        `starts`) are ignored; a missing key raises ValueError naming it."""
         obj = json.loads(text)
+        require_keys(obj, _PLAN_KEYS, "plan JSON")
+        for g in obj["groups"]:
+            require_keys(g, ("rp", "n_k"), "plan JSON group")
         return cls(
             V=obj["V"],
             sigma_S_prime=obj["sigma_S_prime"],

@@ -13,6 +13,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
+from .model import require_keys
+
 
 class EmptyStreamError(Exception):
     """The job stream contained no jobs."""
@@ -79,6 +81,9 @@ def rounded_value(k: int, tau: float) -> int:
     return int(math.floor(_power(tau, k)))
 
 
+_SKETCH_KEYS = ("eps", "alpha0", "tau", "n", "p_max", "p_minL_final", "entries")
+
+
 @dataclass(frozen=True)
 class Sketch:
     """Finalized multiset summary of the large jobs."""
@@ -105,8 +110,12 @@ class Sketch:
 
     @classmethod
     def from_json(cls, text: str) -> "Sketch":
-        """Keys this format no longer uses (older files carry one) are ignored."""
+        """Keys this format no longer uses (older files carry one) are ignored;
+        a missing key raises ValueError naming it."""
         obj = json.loads(text)
+        require_keys(obj, _SKETCH_KEYS, "sketch JSON")
+        for e in obj["entries"]:
+            require_keys(e, ("rp", "count"), "sketch JSON entry")
         return cls(
             entries=tuple(
                 sorted((int(e["rp"]), int(e["count"])) for e in obj["entries"])

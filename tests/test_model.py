@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamsched import (
+from streamsched.assigner import emit
+from streamsched.model import (
     Instance,
     Job,
     MissingJobError,
@@ -13,19 +14,18 @@ from streamsched import (
     PlacedJob,
     Schedule,
     WorkMismatchError,
-    emit,
     evaluate_schedule,
     flat_profile,
-    plan,
+    random_profile,
     read_schedule_csv,
     run_batch,
-    sketch_stream,
     spt_on_assignment,
     work_between,
     work_to_time,
     write_schedule_csv,
 )
-from streamsched.model import random_profile
+from streamsched.planner import plan
+from streamsched.sketch import sketch_stream
 
 from conftest import make_profile
 

@@ -2,17 +2,16 @@ import random
 
 import pytest
 
-from streamsched import (
+from streamsched.model import (
     Instance,
     Job,
-    TooLargeError,
-    brute_force_opt,
     evaluate_schedule,
     flat_profile,
+    random_instance,
     spt_on_assignment,
 )
+from streamsched.oracle import TooLargeError, brute_force_opt
 
-from streamsched.model import random_instance
 
 
 def spt_list_value(ps, m):

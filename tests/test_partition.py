@@ -2,8 +2,19 @@ import itertools
 
 import pytest
 
-from streamsched import enumerate_partitions, is_valid_partition, ladder_values
 from streamsched import partition
+from streamsched.partition import enumerate_partitions, ladder_values
+
+
+def is_valid_partition(parts, b, delta):
+    """True iff parts sums to b and >= m-1 entries are ladder values."""
+    if any(x < 0 for x in parts):
+        return False
+    if sum(parts) != b:
+        return False
+    ladder = set(ladder_values(b, delta))
+    on_ladder = sum(1 for x in parts if x in ladder)
+    return on_ladder >= len(parts) - 1
 
 
 def all_compositions(b, m):

@@ -4,23 +4,25 @@ from fractions import Fraction
 
 import pytest
 
-from streamsched import (
+from streamsched import planner
+from streamsched.assigner import EmitterState
+from streamsched.model import Instance, Job, flat_profile, random_profile, work_to_time
+from streamsched.oracle import brute_force_opt
+from streamsched.partition import enumerate_partitions
+from streamsched.planner import (
     EmptySketchError,
+    FrontierBoundError,
     Plan,
+    PlanState,
+    ZERO,
     append_group,
-    brute_force_opt,
     delta_from,
-    enumerate_partitions,
-    flat_profile,
+    empty_state,
     plan,
     prune,
     signature,
-    sketch_stream,
 )
-from streamsched import planner
-from streamsched.assigner import EmitterState
-from streamsched.model import Instance, Job, random_profile, work_to_time
-from streamsched.planner import ZERO, FrontierBoundError, PlanState, empty_state
+from streamsched.sketch import sketch_stream
 
 import random
 
@@ -60,11 +62,11 @@ class TestAppendGroup:
     def test_single_machine_growth(self, unit_profile):
         profiles = (unit_profile,)
         s0 = empty_state(1)
-        s1 = append_group(s0, 1, (2,), profiles)
+        s1 = append_group(s0, 1, (2,), profiles, {})
         assert work_to_time(unit_profile, 0.0, s1.work[0]) == 2.0
         assert s1.work == (2.0,)
         assert s1.sigma == (3.0,)
-        s2 = append_group(s1, 2, (1,), profiles)
+        s2 = append_group(s1, 2, (1,), profiles, {})
         assert work_to_time(unit_profile, 0.0, s2.work[0]) == 4.0
         assert s2.work == (4.0,)
         assert s2.sigma == (7.0,)
@@ -72,7 +74,7 @@ class TestAppendGroup:
     def test_zero_count_is_identity(self):
         profiles = (flat_profile(1.0, 1), flat_profile(1.0, 2))
         s0 = empty_state(2)
-        s1 = append_group(s0, 3, (0, 2), profiles)
+        s1 = append_group(s0, 3, (0, 2), profiles, {})
         assert s1.work[0] == 0.0 and s1.sigma[0] == 0.0
         assert work_to_time(profiles[1], 0.0, s1.work[1]) == 6.0
 
@@ -290,7 +292,7 @@ class TestPrefixWorkBound:
             expanded.extend([(g, rp)] * cnt)
         best_sigma = math.inf
         best_choice = None
-        from streamsched import run_batch
+        from streamsched.model import run_batch
 
         for choice in itertools.product(range(2), repeat=len(expanded)):
             finish = [0.0, 0.0]

@@ -11,11 +11,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize(
     "args",
-    [
-        ["scripts/run_pipeline.py"],
-        ["scripts/ratio_sweep.py", "--instances", "2", "--eps", "1.0"],
-    ],
-    ids=["run_pipeline", "ratio_sweep"],
+    [["scripts/ratio_sweep.py", "--instances", "2", "--eps", "1.0"]],
+    ids=["ratio_sweep"],
 )
 def test_script_exits_zero(args):
     env = dict(os.environ)

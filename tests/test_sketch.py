@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from streamsched import (
+from streamsched.sketch import (
     EmptyStreamError,
     KnowledgeMode,
     Sketch,
@@ -40,6 +40,14 @@ class TestBucketing:
 
 
 class TestObserve:
+    @pytest.mark.parametrize(
+        "eps, alpha0, name",
+        [(0.0, 1.0, "eps"), (1.5, 1.0, "eps"), (1.0, 0.0, "alpha0"), (1.0, 1.5, "alpha0")],
+    )
+    def test_parameters_outside_unit_interval_rejected(self, eps, alpha0, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be in \(0, 1\]$"):
+            SketchBuilder(eps, alpha0)
+
     def test_small_stream(self):
         b = SketchBuilder(1.0, 1.0)
         for p in (1, 1, 2):
