@@ -252,6 +252,26 @@ class TestPlannerScale:
         assert plan(sk, profiles, 1.0, 1.0).max_states <= 4400  # now 2195
 
 
+class TestKeepRuleTies:
+    # flat unit profiles with integer sizes give many exact total-sigma ties
+    # between different work vectors (64 at m=2, 307 at m=3), so V, counts and
+    # max_states pin the tie-break: flattened (work, sigma), then first arrival
+    def test_tie_break_is_pinned(self):
+        rng = random.Random(1)
+        cases = (
+            (16, 2, 174, 816.3555555555555,
+             ((1, 0, 1, 1, 0, 1, 1, 0, 1, 1, 1, 0),
+              (0, 1, 1, 0, 1, 0, 1, 1, 0, 2, 0, 1))),
+            (10, 3, 2460, 142.2222222222222,
+             ((1, 1, 0, 0, 1, 0, 0), (1, 0, 1, 0, 0, 1, 0), (2, 0, 0, 1, 0, 0, 1))),
+        )
+        for n, m, max_states, V, counts in cases:
+            stream = [rng.randint(1, 20) for _ in range(n)]
+            profiles = tuple(flat_profile(1.0, i + 1) for i in range(m))
+            pl = plan(make_sketch(stream), profiles, 1.0, 1.0)
+            assert (pl.max_states, pl.V, pl.counts) == (max_states, V, counts)
+
+
 class TestDeltaCloseCoverage:
     @pytest.mark.parametrize("delta", [0.5, 1.0])
     @pytest.mark.parametrize("m", [2, 3])
