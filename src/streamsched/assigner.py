@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .model import MachineProfile, PlacedJob, Schedule, work_to_time
 from .planner import Plan
@@ -42,54 +43,6 @@ class EmitReport:
         return self.bucket_overflow > 0
 
 
-class EmitterState:
-    """Mutable pass-2 cursors; O(m * number of groups) counters.
-
-    Slots are kept in work coordinates: `slot_work[i][g]` is the work machine
-    i has delivered when the next unused slot of group g starts. Groups run
-    back to back in size order, machine 1's after the small-job reservation
-    at its head, so the table is built from the plan's counts alone."""
-
-    def __init__(self, plan: Plan, profiles: tuple[MachineProfile, ...]):
-        self.plan = plan
-        self.group_by_rp = {rp: g for g, (rp, _nk) in enumerate(plan.groups)}
-        self.group_by_bucket: dict[int, int | None] = {}  # filled as buckets arrive
-        self.remaining = [list(row) for row in plan.counts]
-        # per group: the first machine that may still have a slot of it
-        self.next_machine = [0] * len(plan.groups)
-        self.slot_work = []
-        ends = []
-        for i, row in enumerate(plan.counts):
-            w = profiles[0].work_at(plan.small_reservation) if i == 0 else 0.0
-            starts = []
-            for (rp, _nk), c in zip(plan.groups, row):
-                starts.append(w)
-                w += c * rp
-            self.slot_work.append(starts)
-            ends.append(w)
-        self.small_cursor = 0.0
-        # smalls must finish before machine 1's first large slot; the ones
-        # that do not fit go past the end of its timeline
-        self.head_limit = plan.small_reservation if any(plan.counts[0]) else math.inf
-        self.tail_cursor = profiles[0].time_at(ends[0])
-
-    def bucket_group(self, k: int):
-        """The plan group of bucket k, or None when no group has its rounded size."""
-        if k not in self.group_by_bucket:
-            rp = rounded_value(k, self.plan.tau)
-            self.group_by_bucket[k] = self.group_by_rp.get(rp)
-        return self.group_by_bucket[k]
-
-    def free_machine(self, g: int):
-        """First machine with an unconsumed slot of group g, else None."""
-        remaining = self.remaining
-        i = self.next_machine[g]
-        while i < len(remaining) and remaining[i][g] == 0:
-            i += 1
-        self.next_machine[g] = i
-        return i if i < len(remaining) else None
-
-
 def emit(
     plan: Plan, stream, profiles: tuple[MachineProfile, ...]
 ) -> tuple[Schedule, EmitReport]:
@@ -102,53 +55,69 @@ def emit(
         raise ValueError(
             f"plan is for {len(plan.counts)} machines, got {len(profiles)} profiles"
         )
-    state = EmitterState(plan, profiles)
+    tau, groups, m = plan.tau, plan.groups, len(profiles)
+    first = profiles[0]
+    group_by_rp = {rp: g for g, (rp, _nk) in enumerate(groups)}
+    group_by_bucket: dict[int, int | None] = {}  # filled as buckets arrive
+    remaining = [list(row) for row in plan.counts]
+    # slot_work[i][g]: the work machine i has delivered when its next unused
+    # slot of group g starts. Groups run back to back in size order, machine
+    # 1's after the small-job reservation at its head; the extra last entry
+    # is where the machine's timeline ends.
+    heads = [first.work_at(plan.small_reservation)] + [0.0] * (m - 1)
+    slot_work = [
+        list(accumulate((c * rp for (rp, _nk), c in zip(groups, row)), initial=w))
+        for w, row in zip(heads, plan.counts)
+    ]
+    # smalls must finish before machine 1's first large slot; the ones that
+    # do not fit go past the end of its timeline
+    small_cursor = 0.0
+    head_limit = plan.small_reservation if any(plan.counts[0]) else math.inf
+    tail_cursor = first.time_at(slot_work[0][-1])
     report = EmitReport()
     placements = []
     for job_id, p in enumerate(stream, start=1):
         report.n_jobs += 1
         if p < 1:
             raise ValueError("processing time must be >= 1")
-        g = state.bucket_group(bucket_index(p, plan.tau))
-        if g is not None and state.free_machine(g) is None:
-            report.bucket_overflow += 1
-            g = None
+        k = bucket_index(p, tau)
+        if k not in group_by_bucket:
+            group_by_bucket[k] = group_by_rp.get(rounded_value(k, tau))
+        g = group_by_bucket[k]
+        if g is not None:
+            # the first machine with an unused slot of group g
+            i = 0
+            while i < m and remaining[i][g] == 0:
+                i += 1
+            if i == m:
+                report.bucket_overflow += 1
+                g = None
         if g is None:
-            placements.append(_place_small(state, report, job_id, p, profiles[0]))
+            profile = first
+            start = small_cursor
+            completion = work_to_time(profile, start, float(p))
+            if completion > head_limit:
+                report.reservation_overflow += 1
+                start = tail_cursor
+                completion = work_to_time(profile, start, float(p))
+                tail_cursor = completion
+            else:
+                small_cursor = completion
+            report.small_placed += 1
         else:
-            placements.append(_place_large(state, job_id, p, g, profiles))
+            profile = profiles[i]
+            w = slot_work[i][g]
+            start = profile.time_at(w)
+            # the completion is walked from the start, not read off
+            # G^-1(w + p): deep in a timeline the difference of two G^-1
+            # values loses the digits the evaluator needs to see exactly p
+            # units of work
+            completion = work_to_time(profile, start, float(p))
+            slot_work[i][g] = w + groups[g][0]
+            remaining[i][g] -= 1
+        placements.append(PlacedJob(job_id, profile.machine_index, start, completion))
     if report.n_jobs != plan.n:
         raise StreamMismatchError(
             f"pass 2 saw {report.n_jobs} jobs, plan expects {plan.n}"
         )
     return Schedule(tuple(placements)), report
-
-
-def _place_large(state, job_id, p, g, profiles):
-    machine = state.next_machine[g]
-    profile = profiles[machine]
-    w = state.slot_work[machine][g]
-    start = profile.time_at(w)
-    # the completion is walked from the start, not read off G^-1(w + p):
-    # deep in a timeline the difference of two G^-1 values loses the digits
-    # the evaluator needs to see exactly p units of work
-    completion = work_to_time(profile, start, float(p))
-    state.slot_work[machine][g] = w + state.plan.groups[g][0]
-    state.remaining[machine][g] -= 1
-    return PlacedJob(job_id, profile.machine_index, start, completion)
-
-
-def _place_small(state, report, job_id, p, profile):
-    start = state.small_cursor
-    completion = work_to_time(profile, start, float(p))
-    if completion > state.head_limit:
-        # would run into machine 1's first large slot: append past the
-        # planned horizon instead
-        report.reservation_overflow += 1
-        start = state.tail_cursor
-        completion = work_to_time(profile, start, float(p))
-        state.tail_cursor = completion
-    else:
-        state.small_cursor = completion
-    report.small_placed += 1
-    return PlacedJob(job_id, profile.machine_index, start, completion)

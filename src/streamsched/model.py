@@ -228,16 +228,11 @@ def work_between(profile: MachineProfile, t0: float, t1: float) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class BatchResult:
-    sigma: float
-    finish: float
-
-
 def run_batch(
     profile: MachineProfile, start: float, count: int, length: float
-) -> BatchResult:
-    """Schedule `count` identical jobs of `length` back-to-back from `start`.
+) -> float:
+    """Total completion time of `count` identical jobs of `length` run back
+    to back from `start`.
 
     Job j (from 1) completes at G^-1(G(start) + j*length). G^-1 is affine
     within one interval, so the completions that fall in it form an
@@ -249,7 +244,7 @@ def run_batch(
     if length <= 0:
         raise ValueError("length must be > 0")
     if count == 0:
-        return BatchResult(0.0, start)
+        return 0.0
     starts, works, alphas = profile._starts, profile._works, profile._alphas
     last = len(works) - 1
     i = bisect_right(starts, start) - 1
@@ -266,7 +261,7 @@ def run_batch(
             sigma += c * base + step * ((done + 1 + hi) * c // 2)
             done = hi
             if done == count:
-                return BatchResult(sigma, base + count * step)
+                return sigma
         i += 1
         base = starts[i] - (works[i] - w0) / alphas[i]
 
@@ -364,6 +359,25 @@ def require_keys(obj, keys, what: str) -> None:
             raise ValueError(f"{what} has no {key!r} key")
 
 
+def require_numbers(obj, keys, what: str) -> None:
+    """Raise ValueError naming `what` and the key unless obj[key] is a JSON
+    number (not null, a string, a boolean or a container) for every key."""
+    for key in keys:
+        value = obj[key]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(
+                f"{what} {key!r} must be a number, got {json.dumps(value)}"
+            )
+
+
+def require_list(value, what: str) -> list:
+    """Return `value` unless it is not a JSON list; then raise ValueError
+    naming `what`."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, got {json.dumps(value)}")
+    return value
+
+
 def profiles_from_obj(raw: list[dict]) -> tuple[MachineProfile, ...]:
     """Raises ValueError naming the problem when raw is not a non-empty list
     of machines, each with a non-empty list of pieces."""
@@ -372,13 +386,17 @@ def profiles_from_obj(raw: list[dict]) -> tuple[MachineProfile, ...]:
     profiles = []
     for entry in raw:
         require_keys(entry, ("machine", "pieces"), "profile JSON machine entry")
-        machine, pieces = entry["machine"], entry["pieces"]
+        require_numbers(entry, ("machine",), "profile JSON machine entry")
+        machine, pieces = int(entry["machine"]), entry["pieces"]
         if not isinstance(pieces, list) or not pieces:
             raise ValueError(
                 f"profile JSON machine {machine} needs a non-empty list of pieces"
             )
+        what = f"profile JSON machine {machine} piece"
         for piece in pieces:
-            require_keys(piece, ("end", "alpha"), f"profile JSON machine {machine} piece")
+            require_keys(piece, ("end", "alpha"), what)
+            bounded = piece["end"] is not None
+            require_numbers(piece, ("end", "alpha") if bounded else ("alpha",), what)
         if any(p["end"] is None for p in pieces[:-1]) or pieces[-1]["end"] is not None:
             raise ValueError("exactly the last piece must have end=null")
         intervals = []
@@ -387,7 +405,7 @@ def profiles_from_obj(raw: list[dict]) -> tuple[MachineProfile, ...]:
             end = math.inf if piece["end"] is None else float(piece["end"])
             intervals.append(CapacityInterval(t, end, float(piece["alpha"])))
             t = end
-        profiles.append(MachineProfile(int(machine), tuple(intervals)))
+        profiles.append(MachineProfile(machine, tuple(intervals)))
     require_distinct_machines(profiles)
     return tuple(profiles)
 

@@ -18,6 +18,8 @@ from .model import (
     require_alpha0,
     require_distinct_machines,
     require_keys,
+    require_list,
+    require_numbers,
     run_batch,
     work_to_time,
 )
@@ -35,28 +37,6 @@ class FrontierBoundError(Exception):
     """A group's surviving frontier exceeds the bucket-count bound."""
 
 
-@dataclass(frozen=True, slots=True)
-class PlanState:
-    """Partial-schedule fingerprint: per-machine work/total-completion, plus
-    the state it extends and the split of the group that extended it (None
-    for the empty schedule); the count matrix is read off this chain. Jobs
-    run back to back from time 0, so machine i finishes at G_i^-1(work[i])."""
-
-    work: tuple[float, ...]
-    sigma: tuple[float, ...]
-    parent: PlanState | None = None
-    part: PartitionTuple = ()
-
-    @property
-    def total_sigma(self) -> float:
-        return sum(self.sigma)
-
-
-def empty_state(m: int) -> PlanState:
-    zeros = (0.0,) * m
-    return PlanState(zeros, zeros)
-
-
 def delta_from(sketch: Sketch, eps: float, alpha0: float) -> float:
     """Similarity granularity eps*alpha0/(24*mu), mu = number of groups."""
     mu = len(sketch.entries)
@@ -66,19 +46,17 @@ def delta_from(sketch: Sketch, eps: float, alpha0: float) -> float:
 
 
 def append_group(
-    state: PlanState,
-    rp: int,
-    part: PartitionTuple,
-    profiles: tuple[MachineProfile, ...],
-    memo: dict,
-) -> PlanState:
-    """Extend a partial schedule with one group split across machines.
+    work: tuple, sigma: tuple, rp: int, part: PartitionTuple,
+    profiles: tuple[MachineProfile, ...], memo: dict,
+) -> tuple[tuple, tuple]:
+    """Extend a partial schedule, given as per-machine work and total
+    completion tuples, with one group split across machines.
 
     `memo` maps (machine, work, count) to the batch's added completion time;
     the batch starts where the machine's work runs out. The key leaves out
     rp, so a memo serves one group only."""
-    work = list(state.work)
-    sigma = list(state.sigma)
+    work = list(work)
+    sigma = list(sigma)
     for i, count in enumerate(part):
         if count == 0:
             continue
@@ -86,11 +64,11 @@ def append_group(
         dsigma = memo.get(key)
         if dsigma is None:
             finish = work_to_time(profiles[i], 0.0, work[i])
-            dsigma = run_batch(profiles[i], finish, count, float(rp)).sigma
+            dsigma = run_batch(profiles[i], finish, count, float(rp))
             memo[key] = dsigma
         sigma[i] += dsigma
         work[i] += count * rp
-    return PlanState(tuple(work), tuple(sigma), state, tuple(part))
+    return tuple(work), tuple(sigma)
 
 
 def _gbucket(v: float, inv_log: float):
@@ -99,36 +77,40 @@ def _gbucket(v: float, inv_log: float):
     return math.floor(math.log(v) * inv_log)
 
 
-def signature(state: PlanState, delta: float):
-    """Per-machine geometric bucket indices of (work, total completion)."""
-    inv_log = 1.0 / math.log1p(delta)
+def signature(work: tuple[float, ...], sigma: tuple[float, ...], inv_log: float):
+    """Per-machine geometric bucket indices of (work, total completion);
+    inv_log is 1/log1p(delta)."""
     return tuple(
-        (_gbucket(p, inv_log), _gbucket(s, inv_log))
-        for p, s in zip(state.work, state.sigma)
+        (_gbucket(p, inv_log), _gbucket(s, inv_log)) for p, s in zip(work, sigma)
     )
 
 
-def _keep_key(state: PlanState):
-    # minimum total completion first; ties broken lexicographically on the
-    # flattened (work, sigma) vector, then by first arrival
-    flat = tuple(v for pair in zip(state.work, state.sigma) for v in pair)
-    return (state.total_sigma, flat)
+def _wins(work, sigma, cur_work, cur_sigma) -> bool:
+    """The keep rule: the lower total completion wins; an exact tie goes to
+    the lexicographically lower flattened (work, sigma) vector, and a full
+    tie to the incumbent, which arrived first."""
+    total, cur_total = sum(sigma), sum(cur_sigma)
+    if total != cur_total:
+        return total < cur_total
+    flat = [v for pair in zip(work, sigma) for v in pair]
+    return flat < [v for pair in zip(cur_work, cur_sigma) for v in pair]
 
 
-def _keep(best: dict, key, state: PlanState) -> None:
-    cur = best.get(key)
-    if cur is None or _keep_key(state) < _keep_key(cur):
-        best[key] = state
+def prune(frontier: dict, inv_log: float) -> dict:
+    """One representative per similarity signature, chosen by the keep rule.
+
+    A frontier maps each work vector to its state's (sigma, part, parent)
+    entry, the parent being the entry it extends; the result is one too."""
+    best: dict[tuple, tuple] = {}  # signature -> work vector
+    for work, (sigma, _part, _parent) in frontier.items():
+        key = signature(work, sigma, inv_log)
+        cur = best.get(key)
+        if cur is None or _wins(work, sigma, cur, frontier[cur][0]):
+            best[key] = work
+    return {work: frontier[work] for work in best.values()}
 
 
-def prune(states, delta: float) -> list[PlanState]:
-    """One representative per similarity signature (deterministic keep-rule)."""
-    best: dict[tuple, PlanState] = {}
-    for state in states:
-        _keep(best, signature(state, delta), state)
-    return list(best.values())
-
-
+# the numbers, then the two lists
 _PLAN_KEYS = (
     "V", "sigma_S_prime", "eps", "alpha0", "tau", "delta", "n",
     "small_reservation", "groups", "counts",
@@ -186,11 +168,17 @@ class Plan:
     @classmethod
     def from_json(cls, text: str) -> "Plan":
         """Keys this format no longer uses (older files carry a few, such as
-        `starts`) are ignored; a missing key raises ValueError naming it."""
+        `starts`) are ignored; a missing key, or a value of the wrong JSON
+        kind, raises ValueError naming it."""
         obj = json.loads(text)
         require_keys(obj, _PLAN_KEYS, "plan JSON")
-        for g in obj["groups"]:
+        require_numbers(obj, _PLAN_KEYS[:-2], "plan JSON")
+        for g in require_list(obj["groups"], "plan JSON 'groups'"):
             require_keys(g, ("rp", "n_k"), "plan JSON group")
+            require_numbers(g, ("rp", "n_k"), "plan JSON group")
+        for i, row in enumerate(require_list(obj["counts"], "plan JSON 'counts'")):
+            require_list(row, f"plan JSON 'counts' row {i}")
+            require_numbers(row, range(len(row)), f"plan JSON 'counts' row {i} entry")
         return cls(
             V=obj["V"],
             sigma_S_prime=obj["sigma_S_prime"],
@@ -228,8 +216,9 @@ def plan(
 
     Each group's expansions are first merged by exact work vector: jobs on a
     machine run back to back from time 0, so a partial schedule's future cost
-    depends only on its work vector and the state with the smaller keep-key
-    loses nothing. The survivors are then pruned by signature.
+    depends only on its work vector, and the state the keep rule drops
+    loses nothing. The survivors are then pruned by signature. `trace`, if
+    given, receives each group's surviving frontier (see `prune`).
 
     eps and alpha0 must be the ones the sketch was built with. The DP is pure
     Python, so threads cannot speed it up; parallel=True is rejected.
@@ -241,44 +230,49 @@ def plan(
             f"plan eps={eps}, alpha0={alpha0} differ from the sketch's "
             f"eps={sketch.eps}, alpha0={sketch.alpha0}"
         )
-    if not sketch.entries:
-        raise EmptySketchError("sketch has no entries")
+    delta = delta_from(sketch, eps, alpha0)  # EmptySketchError if no entries
     require_alpha0(profiles, alpha0)
     require_distinct_machines(profiles)
     m = len(profiles)
-    delta = delta_from(sketch, eps, alpha0)
     bound = _state_bound(sketch, alpha0, delta, m)
+    inv_log = 1.0 / math.log1p(delta)
 
-    states = [empty_state(m)]
+    zeros = (0.0,) * m
+    frontier = {zeros: (zeros, (), None)}  # the empty schedule, no parent
     max_states = 1
     for g, (rp, n_k) in enumerate(sketch.entries):
         parts = enumerate_partitions(n_k, m, delta)
         memo: dict = {}
-        by_work: dict[tuple, PlanState] = {}
-        for s in states:
+        by_work: dict[tuple, tuple] = {}
+        for work, entry in frontier.items():
             for part in parts:
-                ns = append_group(s, rp, part, profiles, memo)
-                _keep(by_work, ns.work, ns)
-        states = prune(by_work.values(), delta)
-        if len(states) > bound:
+                nw, ns = append_group(work, entry[0], rp, part, profiles, memo)
+                cur = by_work.get(nw)
+                if cur is None or _wins(nw, ns, nw, cur[0]):
+                    by_work[nw] = (ns, part, entry)
+        frontier = prune(by_work, inv_log)
+        if len(frontier) > bound:
             raise FrontierBoundError(
-                f"group {g} (rp={rp}, n_k={n_k}): frontier of {len(states)} "
+                f"group {g} (rp={rp}, n_k={n_k}): frontier of {len(frontier)} "
                 f"states exceeds the bound {bound:.6g}"
             )
         if trace is not None:
-            trace.append(states)
-        max_states = max(max_states, len(states))
+            trace.append(frontier)
+        max_states = max(max_states, len(frontier))
 
-    best_state = min(states, key=_keep_key)
-    sigma_sp = best_state.total_sigma
+    best = None
+    for work, (sigma, _part, _parent) in frontier.items():
+        if best is None or _wins(work, sigma, best, frontier[best][0]):
+            best = work
+    entry = frontier[best]
+    sigma_sp = sum(entry[0])
     V = (1.0 + eps / 3.0) * (1.0 + eps / 15.0) * sigma_sp
 
-    # counts[machine][group]: one split per group along the winner's chain
+    # counts[machine][group]: one split per group along the winner's parents
     splits = []
-    s = best_state
-    while s.parent is not None:
-        splits.append(s.part)
-        s = s.parent
+    while entry[2] is not None:
+        splits.append(entry[1])
+        entry = entry[2]
     counts = tuple(zip(*reversed(splits)))
 
     return Plan(

@@ -13,7 +13,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .model import require_keys
+from .model import require_keys, require_list, require_numbers
 
 
 class EmptyStreamError(Exception):
@@ -81,6 +81,7 @@ def rounded_value(k: int, tau: float) -> int:
     return int(math.floor(_power(tau, k)))
 
 
+# the numbers, then the list of entries
 _SKETCH_KEYS = ("eps", "alpha0", "tau", "n", "p_max", "p_minL_final", "entries")
 
 
@@ -111,11 +112,14 @@ class Sketch:
     @classmethod
     def from_json(cls, text: str) -> "Sketch":
         """Keys this format no longer uses (older files carry one) are ignored;
-        a missing key raises ValueError naming it."""
+        a missing key, or a value of the wrong JSON kind, raises ValueError
+        naming it."""
         obj = json.loads(text)
         require_keys(obj, _SKETCH_KEYS, "sketch JSON")
-        for e in obj["entries"]:
+        require_numbers(obj, _SKETCH_KEYS[:-1], "sketch JSON")
+        for e in require_list(obj["entries"], "sketch JSON 'entries'"):
             require_keys(e, ("rp", "count"), "sketch JSON entry")
+            require_numbers(e, ("rp", "count"), "sketch JSON entry")
         return cls(
             entries=tuple(
                 sorted((int(e["rp"]), int(e["count"])) for e in obj["entries"])

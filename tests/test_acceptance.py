@@ -215,11 +215,12 @@ def test_criterion_6_prune_soundness(instance_batch):
         sk, pl = r["sketch"], r["plan"]
         m = len(r["inst"].machines)
         bound = _state_bound(sk, r["alpha0"], pl.delta, m)
-        for states in r["trace"]:
+        inv_log = 1.0 / math.log1p(pl.delta)
+        for frontier in r["trace"]:
             prune_calls += 1
-            sigs = [signature(s, pl.delta) for s in states]
+            sigs = [signature(w, e[0], inv_log) for w, e in frontier.items()]
             assert len(sigs) == len(set(sigs))
-            assert len(states) <= bound
+            assert len(frontier) <= bound
     _announce(6, f"{prune_calls} prune calls sound")
 
 
@@ -232,13 +233,13 @@ def test_criterion_7_evaluator_bounds():
         x = rng.randint(1, 8)
         p = rng.randint(1, 10)
         delta = rng.uniform(0.01, 1.0)
-        sigma = run_batch(prof, t0, x, p).sigma
+        sigma = run_batch(prof, t0, x, p)
         lo = x * t0 + x * (1 + x) * p / 2.0
         hi = x * t0 + x * (1 + x) * p / (2.0 * alpha0)
         assert lo <= sigma * (1 + 1e-12) and sigma <= hi * (1 + 1e-12)
-        shifted = run_batch(prof, (1 + delta) * t0, x, p).sigma
+        shifted = run_batch(prof, (1 + delta) * t0, x, p)
         assert shifted <= (1 + delta / alpha0) * sigma * (1 + 1e-12)
-        extended = run_batch(prof, t0, x + math.floor(x * delta), p).sigma
+        extended = run_batch(prof, t0, x + math.floor(x * delta), p)
         assert extended <= (1 + 3 * delta / alpha0) * sigma * (1 + 1e-12)
     _announce(7, "1000 random batches satisfy the sigma/shift/append bounds")
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from streamsched.assigner import EmitterState, StreamMismatchError, emit
+from streamsched.assigner import StreamMismatchError, emit
 from streamsched.model import (
     CapacityInterval,
     Instance,

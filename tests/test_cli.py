@@ -342,6 +342,10 @@ def json_without(key):
     )
 
 
+def json_with(**changes):
+    return lambda text: json.dumps({**json.loads(text), **changes})
+
+
 def zero_machine_plan(text):
     return json.dumps({**json.loads(text), "groups": [], "counts": []})
 
@@ -392,6 +396,51 @@ MALFORMED = {
         "schedule",
         {"plan": json_without("sigma_S_prime")},
         "plan JSON has no 'sigma_S_prime' key",
+    ),
+    "profile-null-machine": (
+        "eval",
+        {"profile": f'[{{"machine": null, "pieces": [{PIECE}]}}]'},
+        "profile JSON machine entry 'machine' must be a number, got null",
+    ),
+    "profile-null-alpha": (
+        "eval",
+        {"profile": '[{"machine": 1, "pieces": [{"end": null, "alpha": null}]}]'},
+        "profile JSON machine 1 piece 'alpha' must be a number, got null",
+    ),
+    "profile-text-end": (
+        "oracle",
+        {"profile": f'[{{"machine": 1, "pieces": [{{"end": "2", "alpha": 1.0}}, {PIECE}]}}]'},
+        "profile JSON machine 1 piece 'end' must be a number, got \"2\"",
+    ),
+    "sketch-null-n": (
+        "approximate",
+        {"sketch": json_with(n=None)},
+        "sketch JSON 'n' must be a number, got null",
+    ),
+    "sketch-null-entries": (
+        "approximate",
+        {"sketch": json_with(entries=None)},
+        "sketch JSON 'entries' must be a list, got null",
+    ),
+    "plan-null-count": (
+        "schedule",
+        {"plan": json_with(counts=[[None, 1]])},
+        "plan JSON 'counts' row 0 entry 0 must be a number, got null",
+    ),
+    "plan-null-counts-row": (
+        "schedule",
+        {"plan": json_with(counts=[None])},
+        "plan JSON 'counts' row 0 must be a list, got null",
+    ),
+    "plan-null-rp": (
+        "schedule",
+        {"plan": json_with(groups=[{"rp": None, "n_k": 2}, {"rp": 2, "n_k": 1}])},
+        "plan JSON group 'rp' must be a number, got null",
+    ),
+    "plan-text-tau": (
+        "schedule",
+        {"plan": json_with(tau="0.1")},
+        "plan JSON 'tau' must be a number, got \"0.1\"",
     ),
     "schedule-without-completion": (
         "eval",

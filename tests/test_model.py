@@ -51,24 +51,23 @@ class TestWorkToTime:
 
 class TestRunBatch:
     def test_full_capacity_prefix_sums(self, unit_profile):
-        res = run_batch(unit_profile, 0, 3, 1)
+        sigma = run_batch(unit_profile, 0, 3, 1)
         completions = [work_to_time(unit_profile, 0, j) for j in (1, 2, 3)]
         assert completions == [1, 2, 3]
-        assert res.sigma == sum(completions) == 6
-        assert res.finish == 3
+        assert sigma == sum(completions) == 6
+        assert work_to_time(unit_profile, 0, 3 * 1) == 3
 
     def test_half_capacity_doubles(self):
         prof = flat_profile(0.5)
-        res = run_batch(prof, 0, 3, 1)
+        sigma = run_batch(prof, 0, 3, 1)
         completions = [work_to_time(prof, 0, j) for j in (1, 2, 3)]
         assert completions == [2, 4, 6]
-        assert res.sigma == sum(completions) == 12
-        assert res.finish == 6
+        assert sigma == sum(completions) == 12
+        assert work_to_time(prof, 0, 3 * 1) == 6
 
     def test_empty_batch(self, unit_profile):
-        res = run_batch(unit_profile, 5.0, 0, 1)
-        assert res.sigma == 0
-        assert res.finish == 5.0
+        assert run_batch(unit_profile, 5.0, 0, 1) == 0
+        assert work_to_time(unit_profile, 5.0, 0 * 1) == 5.0
 
 
 class TestInstance:
@@ -183,26 +182,30 @@ def test_batch_matches_job_by_job_walk(prof_alpha, start, count, p):
     for _ in range(count):
         t = work_to_time(prof, t, p)
         sigma += t
-    res = run_batch(prof, start, count, p)
-    assert res.finish == pytest.approx(t, rel=1e-12)
-    assert res.sigma == pytest.approx(sigma, rel=1e-12)
+    finish = work_to_time(prof, start, count * p)
+    assert finish == pytest.approx(t, rel=1e-12)
+    assert run_batch(prof, start, count, p) == pytest.approx(sigma, rel=1e-12)
 
 
 @given(profile_strategy, st.floats(0, 20), st.integers(0, 5), st.integers(0, 5),
        st.integers(1, 9))
 def test_batch_concatenation(prof_alpha, start, a, b, p):
     prof, _ = prof_alpha
+    first_finish = work_to_time(prof, start, a * p)
     whole = run_batch(prof, start, a + b, p)
     first = run_batch(prof, start, a, p)
-    second = run_batch(prof, first.finish, b, p)
-    assert whole.finish == pytest.approx(second.finish, rel=1e-12)
-    assert whole.sigma == pytest.approx(first.sigma + second.sigma, rel=1e-12)
+    second = run_batch(prof, first_finish, b, p)
+    whole_finish = work_to_time(prof, start, (a + b) * p)
+    assert whole_finish == pytest.approx(
+        work_to_time(prof, first_finish, b * p), rel=1e-12
+    )
+    assert whole == pytest.approx(first + second, rel=1e-12)
 
 
 @given(profile_strategy, st.floats(0, 30), st.integers(1, 8), st.integers(1, 10))
 def test_identical_batch_sigma_bounds(prof_alpha, t0, x, p):
     prof, alpha0 = prof_alpha
-    sigma = run_batch(prof, t0, x, p).sigma
+    sigma = run_batch(prof, t0, x, p)
     lo = x * t0 + x * (1 + x) * p / 2.0
     hi = x * t0 + x * (1 + x) * p / (2.0 * alpha0)
     assert lo <= sigma * (1 + 1e-12)
@@ -214,8 +217,8 @@ def test_identical_batch_sigma_bounds(prof_alpha, t0, x, p):
 @settings(max_examples=200)
 def test_batch_shift_inequality(prof_alpha, t0, x, p, delta):
     prof, alpha0 = prof_alpha
-    base = run_batch(prof, t0, x, p).sigma
-    shifted = run_batch(prof, (1 + delta) * t0, x, p).sigma
+    base = run_batch(prof, t0, x, p)
+    shifted = run_batch(prof, (1 + delta) * t0, x, p)
     assert shifted <= (1 + delta / alpha0) * base * (1 + 1e-12)
 
 
@@ -224,6 +227,6 @@ def test_batch_shift_inequality(prof_alpha, t0, x, p, delta):
 @settings(max_examples=200)
 def test_batch_append_inequality(prof_alpha, t0, x, p, delta):
     prof, alpha0 = prof_alpha
-    base = run_batch(prof, t0, x, p).sigma
-    extended = run_batch(prof, t0, x + math.floor(x * delta), p).sigma
+    base = run_batch(prof, t0, x, p)
+    extended = run_batch(prof, t0, x + math.floor(x * delta), p)
     assert extended <= (1 + 3 * delta / alpha0) * base * (1 + 1e-12)

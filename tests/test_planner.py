@@ -5,19 +5,24 @@ from fractions import Fraction
 import pytest
 
 from streamsched import planner
-from streamsched.assigner import EmitterState
-from streamsched.model import Instance, Job, flat_profile, random_profile, work_to_time
+from streamsched.assigner import emit
+from streamsched.model import (
+    Instance,
+    Job,
+    flat_profile,
+    random_profile,
+    run_batch,
+    work_to_time,
+)
 from streamsched.oracle import brute_force_opt
 from streamsched.partition import enumerate_partitions
 from streamsched.planner import (
     EmptySketchError,
     FrontierBoundError,
     Plan,
-    PlanState,
     ZERO,
     append_group,
     delta_from,
-    empty_state,
     plan,
     prune,
     signature,
@@ -58,57 +63,55 @@ class TestDelta:
             delta_from(empty, 1.0, 1.0)
 
 
+INV_LOG_1 = 1.0 / math.log1p(1.0)  # signature scale at delta = 1
+
+
 class TestAppendGroup:
     def test_single_machine_growth(self, unit_profile):
         profiles = (unit_profile,)
-        s0 = empty_state(1)
-        s1 = append_group(s0, 1, (2,), profiles, {})
-        assert work_to_time(unit_profile, 0.0, s1.work[0]) == 2.0
-        assert s1.work == (2.0,)
-        assert s1.sigma == (3.0,)
-        s2 = append_group(s1, 2, (1,), profiles, {})
-        assert work_to_time(unit_profile, 0.0, s2.work[0]) == 4.0
-        assert s2.work == (4.0,)
-        assert s2.sigma == (7.0,)
+        w1, s1 = append_group((0.0,), (0.0,), 1, (2,), profiles, {})
+        assert work_to_time(unit_profile, 0.0, w1[0]) == 2.0
+        assert w1 == (2.0,)
+        assert s1 == (3.0,)
+        w2, s2 = append_group(w1, s1, 2, (1,), profiles, {})
+        assert work_to_time(unit_profile, 0.0, w2[0]) == 4.0
+        assert w2 == (4.0,)
+        assert s2 == (7.0,)
 
     def test_zero_count_is_identity(self):
         profiles = (flat_profile(1.0, 1), flat_profile(1.0, 2))
-        s0 = empty_state(2)
-        s1 = append_group(s0, 3, (0, 2), profiles, {})
-        assert s1.work[0] == 0.0 and s1.sigma[0] == 0.0
-        assert work_to_time(profiles[1], 0.0, s1.work[1]) == 6.0
+        w1, s1 = append_group((0.0, 0.0), (0.0, 0.0), 3, (0, 2), profiles, {})
+        assert w1[0] == 0.0 and s1[0] == 0.0
+        assert work_to_time(profiles[1], 0.0, w1[1]) == 6.0
 
 
 class TestSignature:
     def test_bucket_values(self):
-        s = PlanState((10.0,), (20.0,), empty_state(1), (1,))
-        assert signature(s, 1.0) == ((3, 4),)
+        assert signature((10.0,), (20.0,), INV_LOG_1) == ((3, 4),)
 
     def test_similar_states_share_signature(self):
-        a = PlanState((10.0,), (20.0,))
-        b = PlanState((15.0,), (30.0,))
-        assert signature(a, 1.0) == signature(b, 1.0)
+        a = signature((10.0,), (20.0,), INV_LOG_1)
+        assert a == signature((15.0,), (30.0,), INV_LOG_1)
 
     def test_zero_symbol(self):
-        assert signature(empty_state(1), 1.0) == ((ZERO, ZERO),)
+        assert signature((0.0,), (0.0,), INV_LOG_1) == ((ZERO, ZERO),)
 
 
 class TestPrune:
-    def _state(self, work, sigma):
-        return PlanState((work,), (sigma,))
+    # frontiers map a work vector to its (sigma, part, parent) entry
+    A = {(10.0,): ((20.0,), (1,), None)}
+    B = {(15.0,): ((30.0,), (1,), None)}
 
     def test_keeps_smaller_sigma(self):
-        a, b = self._state(10.0, 20.0), self._state(15.0, 30.0)
-        survivors = prune([a, b], 1.0)
-        assert survivors == [a]
-        assert prune([b, a], 1.0) == [a]
+        assert prune({**self.A, **self.B}, INV_LOG_1) == self.A
+        assert prune({**self.B, **self.A}, INV_LOG_1) == self.A
 
     def test_distinct_signatures_all_survive(self):
-        a, b = self._state(10.0, 20.0), self._state(100.0, 300.0)
-        assert len(prune([a, b], 1.0)) == 2
+        far = {(100.0,): ((300.0,), (1,), None)}
+        assert len(prune({**self.A, **far}, INV_LOG_1)) == 2
 
     def test_empty(self):
-        assert prune([], 1.0) == []
+        assert prune({}, INV_LOG_1) == {}
 
 
 class TestPlan:
@@ -142,9 +145,12 @@ class TestPlan:
         pl = plan(sk, profiles, 1.0, 1.0)
         res = pl.small_reservation
         assert res == pytest.approx(1.0 * 4 / (3 * 4))
-        slot_work = EmitterState(pl, profiles).slot_work
-        assert slot_work[0][0] == pytest.approx(profiles[0].work_at(res))
-        assert slot_work[1][0] == 0.0
+        schedule, _ = emit(pl, [4, 4, 4, 4], profiles)
+        first_start = {}
+        for placed in schedule.placements:
+            first_start.setdefault(placed.machine_index, placed.start)
+        assert first_start[1] == pytest.approx(res)
+        assert first_start[2] == 0.0
 
     def test_trace_signatures_unique_and_bounded(self):
         rng = random.Random(2)
@@ -153,9 +159,9 @@ class TestPlan:
         sk = sketch_stream(stream, 0.5, 0.5)
         trace = []
         pl = plan(sk, profiles, 0.5, 0.5, trace=trace)
-        delta = pl.delta
-        for states in trace:
-            sigs = [signature(s, delta) for s in states]
+        inv_log = 1.0 / math.log1p(pl.delta)
+        for frontier in trace:
+            sigs = [signature(w, e[0], inv_log) for w, e in frontier.items()]
             assert len(sigs) == len(set(sigs))
 
     def test_eps_alpha0_must_match_sketch(self, unit_profile):
@@ -312,8 +318,6 @@ class TestPrefixWorkBound:
             expanded.extend([(g, rp)] * cnt)
         best_sigma = math.inf
         best_choice = None
-        from streamsched.model import run_batch
-
         for choice in itertools.product(range(2), repeat=len(expanded)):
             finish = [0.0, 0.0]
             sigma = 0.0
@@ -325,15 +329,14 @@ class TestPrefixWorkBound:
                         if gg == g and mi == i
                     )
                     if c:
-                        res = run_batch(profiles[i], finish[i], c, float(rp))
-                        finish[i] = res.finish
-                        sigma += res.sigma
+                        sigma += run_batch(profiles[i], finish[i], c, float(rp))
+                        finish[i] = work_to_time(profiles[i], finish[i], c * rp)
             if sigma < best_sigma:
                 best_sigma = sigma
                 best_choice = choice
 
         # prefix work of the optimal assignment per machine
-        for g_idx, states in enumerate(trace):
+        for g_idx, frontier in enumerate(trace):
             opt_prefix = [0.0, 0.0]
             for (g, rp), mi in zip(expanded, best_choice):
                 if g <= g_idx:
@@ -341,9 +344,9 @@ class TestPrefixWorkBound:
             factor = (1 + delta) ** (g_idx + 2)
             ok = any(
                 all(
-                    s.work[i] <= factor * opt_prefix[i] + 1e-9
+                    work[i] <= factor * opt_prefix[i] + 1e-9
                     for i in range(2)
                 )
-                for s in states
+                for work in frontier
             )
             assert ok, g_idx
