@@ -2,7 +2,9 @@ import math
 import random
 
 import pytest
+from conftest import boundary_streams, make_profile
 
+from streamsched import assigner
 from streamsched.assigner import StreamMismatchError, emit
 from streamsched.model import (
     CapacityInterval,
@@ -12,6 +14,7 @@ from streamsched.model import (
     evaluate_schedule,
     flat_profile,
     random_profile,
+    work_to_time,
 )
 from streamsched.oracle import brute_force_opt
 from streamsched.planner import Plan, plan
@@ -21,6 +24,52 @@ from streamsched.sketch import KnowledgeMode, bucket_index, rounded_value, sketc
 def build_plan(stream, profiles, eps=1.0, alpha0=1.0, mode=None):
     sk = sketch_stream(stream, eps, alpha0, mode)
     return plan(sk, profiles, eps, alpha0)
+
+
+def reference_slots(pl, stream, profiles):
+    """Each job's slot by the rule `emit` documents, from bucket_index and
+    rounded_value: (profile, work coordinate at the slot's start) for a
+    large job, None for a small one."""
+    tau, groups = pl.tau, pl.groups
+    group_of = {rp: g for g, (rp, _nk) in enumerate(groups)}
+    remaining = [list(row) for row in pl.counts]
+    cursors = []
+    for i, (profile, row) in enumerate(zip(profiles, pl.counts)):
+        w = profile.work_at(pl.small_reservation) if i == 0 else 0.0
+        starts = []
+        for (rp, _nk), count in zip(groups, row):
+            starts.append(w)
+            w = w + count * rp
+        cursors.append(starts)
+    slots = []
+    for p in stream:
+        g = group_of.get(rounded_value(bucket_index(p, tau), tau))
+        free = [i for i, row in enumerate(remaining) if g is not None and row[g]]
+        if not free:
+            slots.append(None)
+            continue
+        i = free[0]
+        slots.append((profiles[i], cursors[i][g]))
+        cursors[i][g] += groups[g][0]
+        remaining[i][g] -= 1
+    return slots
+
+
+def assert_large_jobs_match_reference(pl, stream, profiles):
+    """Every large job starts at G^-1 of its slot's work coordinate and
+    completes where work_to_time puts p units of work after that start,
+    both compared with ==."""
+    sched, report = emit(pl, stream, profiles)
+    slots = reference_slots(pl, stream, profiles)
+    assert report.small_placed == slots.count(None)
+    for placed, p, slot in zip(sched.placements, stream, slots):
+        if slot is None:
+            continue
+        profile, w = slot
+        assert placed.machine_index == profile.machine_index
+        assert placed.start == profile.time_at(w)
+        assert placed.completion == work_to_time(profile, placed.start, float(p))
+    return sched, report
 
 
 class TestEmit:
@@ -110,6 +159,64 @@ class TestEmit:
         given = tuple(flat_profile(1.0, i + 1) for i in range(m))
         with pytest.raises(ValueError, match=f"2 machines, got {m} profiles"):
             emit(pl, [1, 2, 3], given)
+
+    def test_groups_past_two_to_the_53(self):
+        profiles = (flat_profile(0.75),)
+        for stream in boundary_streams(0.75 / 15.0):
+            pl = build_plan(stream, profiles, alpha0=0.75)
+            assert len(pl.groups) == 2  # t - 1 and t round apart
+            _, report = assert_large_jobs_match_reference(pl, stream, profiles)
+            assert report.small_placed == 0 and not report.mismatch
+
+    def test_many_pieces_two_machines_shuffled(self):
+        rng = random.Random(31)
+        profiles = tuple(
+            make_profile(
+                [(rng.uniform(20, 60), rng.uniform(0.5, 1.0)) for _ in range(600)]
+                + [(None, 0.8)],
+                machine_index=i + 1,
+            )
+            for i in range(2)
+        )
+        stream = [1] * 3 + [3] * 4 + [100] * 7 + [230] * 6 + [5000] * 5
+        pl = build_plan(stream, profiles, eps=1.0, alpha0=0.5)
+        assert all(any(row) for row in pl.counts)
+        for _ in range(4):
+            rng.shuffle(stream)
+            sched, report = assert_large_jobs_match_reference(pl, stream, profiles)
+            assert report.small_placed == 3 and not report.mismatch
+            # the slots reach deep into both 600-piece profiles
+            for profile in profiles:
+                last = max(
+                    pj.completion for pj in sched.placements
+                    if pj.machine_index == profile.machine_index
+                )
+                assert profile.interval_index_at(last) > 300
+
+    def test_work_to_time_called_once_per_large_job(self, monkeypatch):
+        # a caller may replace assigner.work_to_time to count the calls
+        rng = random.Random(32)
+        profiles = tuple(random_profile(rng, 0.5, i + 1, 6) for i in range(2))
+        stream = [1, 1, 2] + [rng.randint(20, 40) for _ in range(12)] + [2000]
+        pl = build_plan(stream, profiles, eps=1.0, alpha0=0.5)
+        calls = []
+
+        def counted(profile, start, work):
+            calls.append((profile.machine_index, start, work))
+            return work_to_time(profile, start, work)
+
+        monkeypatch.setattr(assigner, "work_to_time", counted)
+        sched, report = emit(pl, stream, profiles)
+        assert report.small_placed > 0 and report.reservation_overflow == 0
+        slots = reference_slots(pl, stream, profiles)
+        large = [
+            (pj.machine_index, pj.start, float(p))
+            for pj, p, slot in zip(sched.placements, stream, slots)
+            if slot is not None
+        ]
+        assert large and len(calls) == len(stream)
+        for call in large:
+            assert calls.count(call) == 1
 
     def test_stream_mismatch(self, unit_profile):
         pl = build_plan([1, 1, 2], (unit_profile,))

@@ -182,6 +182,21 @@ class TestSubcommands:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["1 2", "1.5", "x"])
+    def test_malformed_jobs_line_fails(self, tmp_path, capsys, line):
+        jobs = tmp_path / "jobs.txt"
+        jobs.write_text(f"4\n\n 7 \n{line}\n2\n")
+        rc = main(
+            [
+                "sketch", "--jobs", str(jobs), "--eps", "1.0",
+                "--alpha0", "1.0", "--out", str(tmp_path / "s.json"),
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: invalid literal for int() with base 10: '{line}'\n"
+        )
+
     def test_sketch_eps_zero_fails(self, reference_files, tmp_path, capsys):
         jobs, _ = reference_files
         rc = main(

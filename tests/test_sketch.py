@@ -1,13 +1,18 @@
 import random
+import re
+from collections import Counter
 
 import pytest
+from conftest import boundary_streams
 
+from streamsched import sketch as sketch_mod
 from streamsched.sketch import (
     EmptyStreamError,
     KnowledgeMode,
     Sketch,
     SketchBuilder,
     bucket_index,
+    iter_job_stream,
     rounded_value,
     sketch_stream,
 )
@@ -30,6 +35,17 @@ class TestBucketing:
         assert rounded_value(3, 1.0) == 8
         assert rounded_value(1, 0.5) == 1
         assert rounded_value(11, TAU) == 2
+
+    def test_sketch_buckets_exactly_past_two_to_the_53(self):
+        for stream in boundary_streams(TAU):
+            t = stream[-2]
+            assert bucket_index(t - 1, TAU) + 1 == bucket_index(t, TAU)
+            expected = Counter(
+                rounded_value(bucket_index(p, TAU), TAU) for p in stream
+            )
+            for mode in (KnowledgeMode(), KnowledgeMode(pmax_lower=stream[0])):
+                sk = sketch_stream(stream, 1.0, 1.0, mode)
+                assert sk.entries == tuple(sorted(expected.items()))
 
     def test_rounding_bracket(self):
         # every integer is bounded by its rounded value within one ratio step
@@ -75,6 +91,62 @@ class TestObserve:
         assert b.live_size() == live
         assert b.n_cur == 2
         assert b.p_curMax == 1000
+
+
+    def test_stream_and_single_observes_agree(self):
+        # sketch_stream builds through the module's SketchBuilder, the one
+        # a caller may replace to see the builder's counters
+        rng = random.Random(4)
+        stream = [rng.randint(1, 10**6) for _ in range(3000)]
+        built = []
+
+        class Recorded(SketchBuilder):
+            def finalize(self):
+                built.append(self)
+                return super().finalize()
+
+        for mode in (KnowledgeMode(), KnowledgeMode(n_upper=3000, pmax_lower=10**5)):
+            one = SketchBuilder(1.0, 1.0, mode)
+            for p in stream:
+                one.observe(p)
+            built.clear()
+            original = sketch_mod.SketchBuilder
+            sketch_mod.SketchBuilder = Recorded
+            try:
+                sk = sketch_stream(stream, 1.0, 1.0, mode)
+            finally:
+                sketch_mod.SketchBuilder = original
+            (b,) = built
+            assert sk == one.finalize()
+            assert (b.n_cur, b.p_curMax, b.p_minL) == (one.n_cur, one.p_curMax, one.p_minL)
+            assert (b.max_live_size, b.max_store_ops, b.live_size()) == (
+                one.max_live_size, one.max_store_ops, one.live_size()
+            )
+
+    def test_rejected_job_leaves_earlier_ones_counted(self):
+        b = SketchBuilder(1.0, 1.0)
+        b.observe(5)
+        with pytest.raises(ValueError, match="processing time must be >= 1"):
+            b.observe(0)
+        assert (b.n_cur, b.p_curMax, b.live_size()) == (1, 5, 1)
+        with pytest.raises(ValueError, match="processing time must be >= 1"):
+            sketch_stream([4, 9, -1, 3], 1.0, 1.0)
+
+
+class TestStreamReader:
+    def test_blank_lines_skipped_and_padding_stripped(self, tmp_path):
+        path = tmp_path / "jobs.txt"
+        path.write_text("3\n\n   \n 7 \n\t5\t\n\n12")
+        assert list(iter_job_stream(str(path))) == [3, 7, 5, 12]
+
+    @pytest.mark.parametrize("line", [" 1 2 ", "1.5", "x"])
+    def test_malformed_line_rejected(self, tmp_path, line):
+        path = tmp_path / "jobs.txt"
+        path.write_text(f"3\n{line}\n4\n")
+        # the message quotes the line without its padding
+        message = f"invalid literal for int() with base 10: '{line.strip()}'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            list(iter_job_stream(str(path)))
 
 
 class TestFinalize:
