@@ -10,7 +10,9 @@ import json
 import math
 import random
 from bisect import bisect_right
+from collections import namedtuple
 from dataclasses import dataclass
+from operator import itemgetter
 
 REL_TOL = 1e-9
 
@@ -82,6 +84,7 @@ class MachineProfile:
         object.__setattr__(
             self, "_starts", tuple(iv.start for iv in self.intervals)
         )
+        object.__setattr__(self, "_ends", tuple(iv.end for iv in self.intervals))
         object.__setattr__(self, "_works", tuple(works))
         object.__setattr__(
             self, "_alphas", tuple(iv.alpha for iv in self.intervals)
@@ -172,12 +175,8 @@ def random_instance(
     return Instance(machines, jobs, alpha0)
 
 
-@dataclass(frozen=True)
-class PlacedJob:
-    job_id: int
-    machine_index: int
-    start: float
-    completion: float
+# a tuple, so that building one per job and unpacking it are cheap
+PlacedJob = namedtuple("PlacedJob", "job_id machine_index start completion")
 
 
 @dataclass(frozen=True)
@@ -201,30 +200,31 @@ def work_to_time(profile: MachineProfile, start: float, work: float) -> float:
         raise ValueError("work must be >= 0")
     if work == 0:
         return start
-    i = bisect_right(profile._starts, start) - 1
-    iv = profile.intervals[i]
-    rest = work - iv.alpha * (iv.end - start)  # left at the end of interval i
+    starts, alphas = profile._starts, profile._alphas
+    i = bisect_right(starts, start) - 1
+    alpha = alphas[i]
+    rest = work - alpha * (profile._ends[i] - start)  # left at the end of interval i
     if rest <= 0:
-        return start + work / iv.alpha
+        return start + work / alpha
     works = profile._works
     j = bisect_right(works, works[i + 1] + rest) - 1
-    return profile._starts[j] + (rest - (works[j] - works[i + 1])) / profile._alphas[j]
+    return starts[j] + (rest - (works[j] - works[i + 1])) / alphas[j]
 
 
 def work_between(profile: MachineProfile, t0: float, t1: float) -> float:
     """Capacity integral over [t0, t1)."""
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
-    idx = profile.interval_index_at(t0)
-    intervals = profile.intervals
+    ends, alphas = profile._ends, profile._alphas
+    i = bisect_right(profile._starts, t0) - 1
     total = 0.0
     t = t0
     while t < t1:
-        iv = intervals[idx]
-        seg_end = min(iv.end, t1)
-        total += iv.alpha * (seg_end - t)
+        end = ends[i]
+        seg_end = t1 if t1 < end else end
+        total += alphas[i] * (seg_end - t)
         t = seg_end
-        idx += 1
+        i += 1
     return total
 
 
@@ -268,47 +268,51 @@ def run_batch(
 
 def evaluate_schedule(instance: Instance, schedule: Schedule) -> float:
     """Total completion time of a schedule; raises on any feasibility violation."""
-    jobs = {j.id: j for j in instance.jobs}
+    sizes = {j.id: j.p for j in instance.jobs}
     seen: set[int] = set()
     profiles = {p.machine_index: p for p in instance.machines}
     per_machine: dict[int, list[PlacedJob]] = {}
     for pl in schedule.placements:
-        if pl.job_id not in jobs:
-            raise MissingJobError(f"placement for unknown job {pl.job_id}")
-        if pl.job_id in seen:
-            raise MissingJobError(f"job {pl.job_id} placed more than once")
-        seen.add(pl.job_id)
-        if pl.machine_index not in profiles:
-            raise ScheduleError(f"unknown machine {pl.machine_index}")
-        if pl.completion <= pl.start:
+        job_id, mi, start, completion = pl
+        if job_id not in sizes:
+            raise MissingJobError(f"placement for unknown job {job_id}")
+        if job_id in seen:
+            raise MissingJobError(f"job {job_id} placed more than once")
+        seen.add(job_id)
+        if mi not in profiles:
+            raise ScheduleError(f"unknown machine {mi}")
+        if completion <= start:
             raise WorkMismatchError(
-                f"job {pl.job_id}: completion {pl.completion} <= start {pl.start}"
+                f"job {job_id}: completion {completion} <= start {start}"
             )
-        per_machine.setdefault(pl.machine_index, []).append(pl)
-    missing = set(jobs) - seen
+        placed = per_machine.get(mi)
+        if placed is None:
+            placed = per_machine[mi] = []
+        placed.append(pl)
+    missing = set(sizes) - seen
     if missing:
         raise MissingJobError(f"jobs never placed: {sorted(missing)}")
 
     total = 0.0
     for mi, placed in per_machine.items():
         profile = profiles[mi]
-        placed.sort(key=lambda pl: pl.start)
+        placed.sort(key=itemgetter(2))
         prev_end = 0.0
-        for pl in placed:
-            if pl.start < prev_end and not _close(pl.start, prev_end):
+        for job_id, _mi, start, completion in placed:
+            if start < prev_end and not _close(start, prev_end):
                 raise OverlapError(
-                    f"machine {mi}: job {pl.job_id} starts at {pl.start} "
+                    f"machine {mi}: job {job_id} starts at {start} "
                     f"before previous completion {prev_end}"
                 )
-            delivered = work_between(profile, pl.start, pl.completion)
-            p = jobs[pl.job_id].p
+            delivered = work_between(profile, start, completion)
+            p = sizes[job_id]
             if not _close(delivered, float(p)):
                 raise WorkMismatchError(
-                    f"job {pl.job_id} on machine {mi}: delivered {delivered}, "
+                    f"job {job_id} on machine {mi}: delivered {delivered}, "
                     f"needs {p}"
                 )
-            prev_end = pl.completion
-            total += pl.completion
+            prev_end = completion
+            total += completion
     return total
 
 
@@ -370,6 +374,18 @@ def require_numbers(obj, keys, what: str) -> None:
             )
 
 
+def require_integers(obj, keys, what: str) -> None:
+    """require_numbers, and raise ValueError naming `what` and the key
+    unless obj[key] is also finite and integral (3 and 3.0, not 2.5)."""
+    require_numbers(obj, keys, what)
+    for key in keys:
+        value = obj[key]
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError(
+                f"{what} {key!r} must be an integer, got {json.dumps(value)}"
+            )
+
+
 def require_list(value, what: str) -> list:
     """Return `value` unless it is not a JSON list; then raise ValueError
     naming `what`."""
@@ -386,7 +402,7 @@ def profiles_from_obj(raw: list[dict]) -> tuple[MachineProfile, ...]:
     profiles = []
     for entry in raw:
         require_keys(entry, ("machine", "pieces"), "profile JSON machine entry")
-        require_numbers(entry, ("machine",), "profile JSON machine entry")
+        require_integers(entry, ("machine",), "profile JSON machine entry")
         machine, pieces = int(entry["machine"]), entry["pieces"]
         if not isinstance(pieces, list) or not pieces:
             raise ValueError(

@@ -17,6 +17,7 @@ from .model import (
     MachineProfile,
     require_alpha0,
     require_distinct_machines,
+    require_integers,
     require_keys,
     require_list,
     require_numbers,
@@ -173,12 +174,13 @@ class Plan:
         obj = json.loads(text)
         require_keys(obj, _PLAN_KEYS, "plan JSON")
         require_numbers(obj, _PLAN_KEYS[:-2], "plan JSON")
+        require_integers(obj, ("n",), "plan JSON")
         for g in require_list(obj["groups"], "plan JSON 'groups'"):
             require_keys(g, ("rp", "n_k"), "plan JSON group")
-            require_numbers(g, ("rp", "n_k"), "plan JSON group")
+            require_integers(g, ("rp", "n_k"), "plan JSON group")
         for i, row in enumerate(require_list(obj["counts"], "plan JSON 'counts'")):
             require_list(row, f"plan JSON 'counts' row {i}")
-            require_numbers(row, range(len(row)), f"plan JSON 'counts' row {i} entry")
+            require_integers(row, range(len(row)), f"plan JSON 'counts' row {i} entry")
         return cls(
             V=obj["V"],
             sigma_S_prime=obj["sigma_S_prime"],

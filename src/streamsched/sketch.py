@@ -13,7 +13,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .model import require_keys, require_list, require_numbers
+from .model import require_integers, require_keys, require_list, require_numbers
 
 
 class EmptyStreamError(Exception):
@@ -44,6 +44,11 @@ class KnowledgeMode:
 # multiplication so bucket boundaries are bit-stable across platforms.
 _POWER_TABLES: dict[float, list[float]] = {}
 
+# Every int below 2^53 converts to float exactly, so float(p) compares with
+# the table's floats as p does. The tables are bisected with it there, since
+# a float-to-float comparison costs about half an int-to-float one.
+FLOAT_EXACT = 2**53
+
 
 def _power(tau: float, k: int) -> float:
     table = _POWER_TABLES.get(tau)
@@ -53,6 +58,13 @@ def _power(tau: float, k: int) -> float:
     while len(table) <= k:
         table.append(table[-1] * base)
     return table[k]
+
+
+def power_table(tau: float, k: int) -> list[float]:
+    """The memoized (1+tau)^j table, grown to hold j = k. Bucket j holds the
+    p with table[j-1] <= p < table[j]. Read it only: it is shared."""
+    _power(tau, k)
+    return _POWER_TABLES[tau]
 
 
 def bucket_index(p: int, tau: float) -> int:
@@ -71,7 +83,7 @@ def bucket_index(p: int, tau: float) -> int:
         while _power(tau, k) <= p:
             k += 1
         table = _POWER_TABLES[tau]
-    return bisect_right(table, p)
+    return bisect_right(table, float(p) if p < FLOAT_EXACT else p)
 
 
 def rounded_value(k: int, tau: float) -> int:
@@ -117,9 +129,10 @@ class Sketch:
         obj = json.loads(text)
         require_keys(obj, _SKETCH_KEYS, "sketch JSON")
         require_numbers(obj, _SKETCH_KEYS[:-1], "sketch JSON")
+        require_integers(obj, ("n", "p_max"), "sketch JSON")
         for e in require_list(obj["entries"], "sketch JSON 'entries'"):
             require_keys(e, ("rp", "count"), "sketch JSON entry")
-            require_numbers(e, ("rp", "count"), "sketch JSON entry")
+            require_integers(e, ("rp", "count"), "sketch JSON entry")
         return cls(
             entries=tuple(
                 sorted((int(e["rp"]), int(e["count"])) for e in obj["entries"])
@@ -179,44 +192,75 @@ class SketchBuilder:
         return self._occupied if self._array_mode else len(self._store)
 
     def observe(self, p: int) -> None:
-        if p < 1:
-            raise ValueError("processing time must be >= 1")
-        self.n_cur += 1
-        if p > self.p_curMax:
-            self.p_curMax = p
-            cand = self._thr_coeff * p
-            if self.p_minL < cand:
-                self.p_minL = cand
-        if p < self.p_minL:
-            return
-        k = bucket_index(p, self.tau)
-        if self._array_mode:
-            counts = self._counts
-            if k >= len(counts):
-                counts.extend([0] * (k + 1 - len(counts)))
-            if counts[k] == 0:
-                self._occupied += 1
-            counts[k] += 1
-            ops = 1
+        self.observe_all((p,))
+
+    def observe_all(self, stream) -> None:
+        """observe() each processing time of the iterable in turn.
+
+        The counters live in locals while the loop runs and are stored back
+        when it stops, also when a job is rejected part way through.
+        """
+        tau = self.tau
+        table = power_table(tau, 1)
+        top = table[-1]
+        thr_coeff = self._thr_coeff
+        n, p_max, p_minL = self.n_cur, self.p_curMax, self.p_minL
+        max_live, max_ops = self.max_live_size, self.max_store_ops
+        array_mode = self._array_mode
+        if array_mode:
+            counts, occupied = self._counts, self._occupied
         else:
-            store = self._store
-            if k in store:
-                store[k] += 1
-                ops = 1
-            else:
-                store[k] = 1
-                heapq.heappush(self._heap, k)
-                ops = 2
-                kmin = self._heap[0]
-                if rounded_value(kmin, self.tau) < self.p_minL:
-                    heapq.heappop(self._heap)
-                    del store[kmin]
-                    ops = 3
-        if ops > self.max_store_ops:
-            self.max_store_ops = ops
-        live = self.live_size()
-        if live > self.max_live_size:
-            self.max_live_size = live
+            store, heap = self._store, self._heap
+        try:
+            for p in stream:
+                if p < 1:
+                    raise ValueError("processing time must be >= 1")
+                n += 1
+                if p > p_max:
+                    p_max = p
+                    cand = thr_coeff * p
+                    if p_minL < cand:
+                        p_minL = cand
+                x = float(p) if p < FLOAT_EXACT else p
+                if x < p_minL:
+                    continue
+                if x < top:
+                    k = bisect_right(table, x)
+                else:
+                    k = bucket_index(p, tau)
+                    top = table[-1]
+                if array_mode:
+                    if k >= len(counts):
+                        counts.extend([0] * (k + 1 - len(counts)))
+                    c = counts[k]
+                    counts[k] = c + 1
+                    if c == 0:  # one store op per job; live size only grows
+                        occupied += 1
+                        max_ops = 1
+                        if occupied > max_live:
+                            max_live = occupied
+                else:
+                    c = store.get(k)
+                    if c is not None:  # one op, below the max the insert set
+                        store[k] = c + 1
+                        continue
+                    store[k] = 1
+                    heapq.heappush(heap, k)
+                    ops = 2
+                    kmin = heap[0]
+                    if rounded_value(kmin, tau) < p_minL:
+                        heapq.heappop(heap)
+                        del store[kmin]
+                        ops = 3
+                    if ops > max_ops:
+                        max_ops = ops
+                    if len(store) > max_live:
+                        max_live = len(store)
+        finally:
+            self.n_cur, self.p_curMax, self.p_minL = n, p_max, p_minL
+            self.max_live_size, self.max_store_ops = max_live, max_ops
+            if array_mode:
+                self._occupied = occupied
 
     def finalize(self) -> Sketch:
         """Raises ValueError when the stream broke a knowledge-mode promise:
@@ -259,13 +303,19 @@ class SketchBuilder:
 def iter_job_stream(path: str):
     """Yield processing times from a job stream file, one integer per line.
 
-    Lazy: never buffers the file.
+    Blank lines are skipped; int() ignores padding itself, so a line is
+    stripped only when int() rejects it. Lazy: never buffers the file.
     """
     with open(path) as fh:
         for line in fh:
-            line = line.strip()
-            if line:
-                yield int(line)
+            try:
+                p = int(line)
+            except ValueError:
+                line = line.strip()
+                if not line:
+                    continue
+                p = int(line)
+            yield p
 
 
 def sketch_stream(
@@ -273,6 +323,5 @@ def sketch_stream(
 ) -> Sketch:
     """Build a sketch from any iterable of processing times."""
     builder = SketchBuilder(eps, alpha0, mode or KnowledgeMode())
-    for p in stream:
-        builder.observe(p)
+    builder.observe_all(stream)
     return builder.finalize()

@@ -457,6 +457,56 @@ MALFORMED = {
         {"plan": json_with(tau="0.1")},
         "plan JSON 'tau' must be a number, got \"0.1\"",
     ),
+    "profile-fractional-machine": (
+        "eval",
+        {"profile": f'[{{"machine": 1.9, "pieces": [{PIECE}]}}]'},
+        "profile JSON machine entry 'machine' must be an integer, got 1.9",
+    ),
+    "sketch-infinite-n": (
+        "approximate",
+        {"sketch": json_with(n=math.inf)},
+        "sketch JSON 'n' must be an integer, got Infinity",
+    ),
+    "sketch-fractional-p-max": (
+        "approximate",
+        {"sketch": json_with(p_max=2.5)},
+        "sketch JSON 'p_max' must be an integer, got 2.5",
+    ),
+    "sketch-fractional-rp": (
+        "approximate",
+        {"sketch": json_with(entries=[{"rp": 1.5, "count": 2}, {"rp": 2, "count": 1}])},
+        "sketch JSON entry 'rp' must be an integer, got 1.5",
+    ),
+    "sketch-fractional-count": (
+        "approximate",
+        {"sketch": json_with(entries=[{"rp": 1, "count": 2.5}, {"rp": 2, "count": 1}])},
+        "sketch JSON entry 'count' must be an integer, got 2.5",
+    ),
+    "plan-fractional-n": (
+        "schedule",
+        {"plan": json_with(n=3.5)},
+        "plan JSON 'n' must be an integer, got 3.5",
+    ),
+    "plan-fractional-rp": (
+        "schedule",
+        {"plan": json_with(groups=[{"rp": 1.5, "n_k": 2}, {"rp": 2, "n_k": 1}])},
+        "plan JSON group 'rp' must be an integer, got 1.5",
+    ),
+    "plan-fractional-n-k": (
+        "schedule",
+        {"plan": json_with(groups=[{"rp": 1, "n_k": 2.5}, {"rp": 2, "n_k": 1}])},
+        "plan JSON group 'n_k' must be an integer, got 2.5",
+    ),
+    "plan-fractional-count": (
+        "schedule",
+        {"plan": json_with(counts=[[2, 0.5]])},
+        "plan JSON 'counts' row 0 entry 1 must be an integer, got 0.5",
+    ),
+    "plan-nan-count": (
+        "schedule",
+        {"plan": json_with(counts=[[math.nan, 1]])},
+        "plan JSON 'counts' row 0 entry 0 must be an integer, got NaN",
+    ),
     "schedule-without-completion": (
         "eval",
         {"schedule": "job_id,machine,start\n1,1,0.0\n2,1,1.0\n3,1,2.0\n"},
