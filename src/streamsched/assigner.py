@@ -111,39 +111,40 @@ def emit(
             bucket_overflow += 1
             g = None
         if g is None:
+            profile = first
             start = small_cursor
-            completion = work_to_time(first, start, fp)
+            completion = work_to_time(profile, start, fp)
             if completion > head_limit:
                 reservation_overflow += 1
                 start = tail_cursor
-                completion = work_to_time(first, start, fp)
+                completion = work_to_time(profile, start, fp)
                 tail_cursor = completion
             else:
                 small_cursor = completion
             small_placed += 1
-            place(new(PlacedJob, (job_id, first.machine_index, start, completion)))
-            continue
-        i = free[g]
-        profile = profiles[i]
-        w = slot_work[i][g]
-        works = profile._works
-        j = slot_piece[i][g]
-        while j + 1 < len(works) and works[j + 1] <= w:
-            j += 1
-        slot_piece[i][g] = j
-        start = profile._starts[j] + (w - works[j]) / profile._alphas[j]
-        # the completion is walked from the start, not read off G^-1(w + p):
-        # deep in a timeline the difference of two G^-1 values loses the
-        # digits the evaluator needs to see exactly p units of work
-        completion = work_to_time(profile, start, fp)
+        else:
+            i = free[g]
+            profile = profiles[i]
+            w = slot_work[i][g]
+            works = profile._works
+            j = slot_piece[i][g]
+            while j + 1 < len(works) and works[j + 1] <= w:
+                j += 1
+            slot_piece[i][g] = j
+            start = profile._starts[j] + (w - works[j]) / profile._alphas[j]
+            # the completion is walked from the start, not read off
+            # G^-1(w + p): deep in a timeline the difference of two G^-1
+            # values loses the digits the evaluator needs to see exactly p
+            # units of work
+            completion = work_to_time(profile, start, fp)
+            slot_work[i][g] = w + rps[g]
+            row = remaining[i]
+            row[g] -= 1
+            if row[g] == 0:  # machine i has used up its slots of group g
+                while i < m and remaining[i][g] == 0:
+                    i += 1
+                free[g] = i
         place(new(PlacedJob, (job_id, profile.machine_index, start, completion)))
-        slot_work[i][g] = w + rps[g]
-        left = remaining[i]
-        left[g] -= 1
-        if not left[g]:
-            while i < m and remaining[i][g] == 0:
-                i += 1
-            free[g] = i
     if job_id != plan.n:
         raise StreamMismatchError(f"pass 2 saw {job_id} jobs, plan expects {plan.n}")
     report = EmitReport(job_id, small_placed, bucket_overflow, reservation_overflow)

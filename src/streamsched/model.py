@@ -285,10 +285,7 @@ def evaluate_schedule(instance: Instance, schedule: Schedule) -> float:
             raise WorkMismatchError(
                 f"job {job_id}: completion {completion} <= start {start}"
             )
-        placed = per_machine.get(mi)
-        if placed is None:
-            placed = per_machine[mi] = []
-        placed.append(pl)
+        per_machine.setdefault(mi, []).append(pl)
     missing = set(sizes) - seen
     if missing:
         raise MissingJobError(f"jobs never placed: {sorted(missing)}")

@@ -507,6 +507,11 @@ MALFORMED = {
         {"plan": json_with(counts=[[math.nan, 1]])},
         "plan JSON 'counts' row 0 entry 0 must be an integer, got NaN",
     ),
+    "plan-zero-tau": (
+        "schedule",
+        {"plan": json_with(tau=0.0)},
+        "tau must be > 0",
+    ),
     "schedule-without-completion": (
         "eval",
         {"schedule": "job_id,machine,start\n1,1,0.0\n2,1,1.0\n3,1,2.0\n"},
