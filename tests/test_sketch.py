@@ -93,7 +93,7 @@ class TestObserve:
         assert b.p_curMax == 1000
 
 
-    def test_stream_and_single_observes_agree(self):
+    def test_stream_and_single_observes_agree(self, monkeypatch):
         # sketch_stream builds through the module's SketchBuilder, the one
         # a caller may replace to see the builder's counters
         rng = random.Random(4)
@@ -105,17 +105,13 @@ class TestObserve:
                 built.append(self)
                 return super().finalize()
 
+        monkeypatch.setattr(sketch_mod, "SketchBuilder", Recorded)
         for mode in (KnowledgeMode(), KnowledgeMode(n_upper=3000, pmax_lower=10**5)):
             one = SketchBuilder(1.0, 1.0, mode)
             for p in stream:
                 one.observe(p)
             built.clear()
-            original = sketch_mod.SketchBuilder
-            sketch_mod.SketchBuilder = Recorded
-            try:
-                sk = sketch_stream(stream, 1.0, 1.0, mode)
-            finally:
-                sketch_mod.SketchBuilder = original
+            sk = sketch_stream(stream, 1.0, 1.0, mode)
             (b,) = built
             assert sk == one.finalize()
             assert (b.n_cur, b.p_curMax, b.p_minL) == (one.n_cur, one.p_curMax, one.p_minL)
