@@ -31,7 +31,6 @@ class StreamMismatchError(Exception):
 
 @dataclass
 class EmitReport:
-    n_jobs: int = 0
     small_placed: int = 0
     # jobs that rounded into a plan bucket whose slots were already consumed;
     # nonzero means pass 1 and pass 2 disagreed near the largeness threshold
@@ -147,5 +146,5 @@ def emit(
         place(new(PlacedJob, (job_id, profile.machine_index, start, completion)))
     if job_id != plan.n:
         raise StreamMismatchError(f"pass 2 saw {job_id} jobs, plan expects {plan.n}")
-    report = EmitReport(job_id, small_placed, bucket_overflow, reservation_overflow)
+    report = EmitReport(small_placed, bucket_overflow, reservation_overflow)
     return Schedule(tuple(placements)), report

@@ -383,6 +383,16 @@ def require_integers(obj, keys, what: str) -> None:
             )
 
 
+def require_positive(obj, keys, what: str, top: float = math.inf) -> None:
+    """Raise ValueError naming `what` and the key unless obj[key] is finite,
+    above 0 and at most `top`; call it after require_numbers."""
+    for key in keys:
+        value = obj[key]
+        if not 0.0 < value <= top or value == math.inf:
+            want = "> 0 and finite" if top == math.inf else f"in (0, {top:g}]"
+            raise ValueError(f"{what}: {key} must be {want}, got {json.dumps(value)}")
+
+
 def require_list(value, what: str) -> list:
     """Return `value` unless it is not a JSON list; then raise ValueError
     naming `what`."""

@@ -1,11 +1,23 @@
 """Group-by-group enumerate-and-prune dynamic program over the sketch.
 
 Groups (one per distinct rounded processing time) are appended in ascending
-order; after each group the partial schedules are reduced in two stages:
-an exact merge of states with the same per-machine work vector, then one
-representative per geometric similarity class. The best survivor yields the
-reported approximate value and the per-machine group counts consumed by the
-second pass.
+order. A state is a per-machine work vector w and the total completion time
+sigma: jobs on machine i run back to back from time 0, so a job that ends
+after x more work there completes at G_i^-1(w_i + x), G_i(t) being the work
+the machine delivers by time t. After each group, states with equal work are
+merged, then one is kept per class of equal per-machine work buckets (ratio
+1+delta). One keep rule decides both and the final pick: the lower sigma
+wins, then the lower work vector, then the state that arrived first.
+
+Unlike the paper's, the classes leave sigma out, at no cost to its bound. A
+kept A and a dropped B in one class have sigma(A) <= sigma(B) and each
+w_i(A) < (1+delta) w_i(B), or both are 0. Capacity lies in [alpha0, 1], so
+G^-1 has slope <= 1/alpha0 and G^-1(y) >= y: a continuation replayed from A
+ends each job later than from B by at most delta/alpha0 times its completion
+from B. Partitions do not depend on the state, so over the mu prunes the best
+schedule loses at most a factor (1 + eps/(24 mu))^mu <= e^(eps/24), delta
+being eps*alpha0/(24 mu). The paper's classes are subsets of these and get
+exactly this bound from the same argument.
 """
 from __future__ import annotations
 
@@ -21,6 +33,7 @@ from .model import (
     require_keys,
     require_list,
     require_numbers,
+    require_positive,
     run_batch,
     work_to_time,
 )
@@ -47,17 +60,16 @@ def delta_from(sketch: Sketch, eps: float, alpha0: float) -> float:
 
 
 def append_group(
-    work: tuple, sigma: tuple, rp: int, part: PartitionTuple,
+    work: tuple, sigma: float, rp: int, part: PartitionTuple,
     profiles: tuple[MachineProfile, ...], memo: dict,
-) -> tuple[tuple, tuple]:
-    """Extend a partial schedule, given as per-machine work and total
-    completion tuples, with one group split across machines.
+) -> tuple[tuple, float]:
+    """Extend a partial schedule, given as its per-machine work tuple and its
+    total completion time, with one group split across machines.
 
     `memo` maps (machine, work, count) to the batch's added completion time;
     the batch starts where the machine's work runs out. The key leaves out
     rp, so a memo serves one group only."""
     work = list(work)
-    sigma = list(sigma)
     for i, count in enumerate(part):
         if count == 0:
             continue
@@ -67,48 +79,30 @@ def append_group(
             finish = work_to_time(profiles[i], 0.0, work[i])
             dsigma = run_batch(profiles[i], finish, count, float(rp))
             memo[key] = dsigma
-        sigma[i] += dsigma
+        sigma += dsigma
         work[i] += count * rp
-    return tuple(work), tuple(sigma)
+    return tuple(work), sigma
 
 
-def _gbucket(v: float, inv_log: float):
-    if v <= 0.0:
-        return ZERO
-    return math.floor(math.log(v) * inv_log)
-
-
-def signature(work: tuple[float, ...], sigma: tuple[float, ...], inv_log: float):
-    """Per-machine geometric bucket indices of (work, total completion);
-    inv_log is 1/log1p(delta)."""
-    return tuple(
-        (_gbucket(p, inv_log), _gbucket(s, inv_log)) for p, s in zip(work, sigma)
-    )
-
-
-def _wins(work, sigma, cur_work, cur_sigma) -> bool:
-    """The keep rule: the lower total completion wins; an exact tie goes to
-    the lexicographically lower flattened (work, sigma) vector, and a full
-    tie to the incumbent, which arrived first."""
-    total, cur_total = sum(sigma), sum(cur_sigma)
-    if total != cur_total:
-        return total < cur_total
-    flat = [v for pair in zip(work, sigma) for v in pair]
-    return flat < [v for pair in zip(cur_work, cur_sigma) for v in pair]
+def signature(work: tuple[float, ...], inv_log: float):
+    """Per-machine geometric bucket indices of the work; inv_log is
+    1/log1p(delta)."""
+    return tuple(math.floor(math.log(w) * inv_log) if w > 0.0 else ZERO for w in work)
 
 
 def prune(frontier: dict, inv_log: float) -> dict:
-    """One representative per similarity signature, chosen by the keep rule.
+    """One representative per work signature, chosen by the keep rule.
 
     A frontier maps each work vector to its state's (sigma, part, parent)
     entry, the parent being the entry it extends; the result is one too."""
-    best: dict[tuple, tuple] = {}  # signature -> work vector
-    for work, (sigma, _part, _parent) in frontier.items():
-        key = signature(work, sigma, inv_log)
+    best: dict[tuple, tuple] = {}  # signature -> (sigma, work) of the keeper
+    for work, entry in frontier.items():
+        key = signature(work, inv_log)
+        cand = (entry[0], work)
         cur = best.get(key)
-        if cur is None or _wins(work, sigma, cur, frontier[cur][0]):
-            best[key] = work
-    return {work: frontier[work] for work in best.values()}
+        if cur is None or cand < cur:
+            best[key] = cand
+    return {work: frontier[work] for _sigma, work in best.values()}
 
 
 # the numbers, then the two lists
@@ -168,13 +162,15 @@ class Plan:
 
     @classmethod
     def from_json(cls, text: str) -> "Plan":
-        """Keys this format no longer uses (older files carry a few, such as
-        `starts`) are ignored; a missing key, or a value of the wrong JSON
-        kind, raises ValueError naming it."""
+        """Keys this format no longer uses (older files carry some, such as
+        `starts`) are ignored; a missing key, a value of the wrong JSON kind,
+        or eps, alpha0, tau or delta out of range raises ValueError naming it."""
         obj = json.loads(text)
         require_keys(obj, _PLAN_KEYS, "plan JSON")
         require_numbers(obj, _PLAN_KEYS[:-2], "plan JSON")
         require_integers(obj, ("n",), "plan JSON")
+        require_positive(obj, ("eps", "alpha0"), "plan JSON", 1.0)
+        require_positive(obj, ("tau", "delta"), "plan JSON")
         for g in require_list(obj["groups"], "plan JSON 'groups'"):
             require_keys(g, ("rp", "n_k"), "plan JSON group")
             require_integers(g, ("rp", "n_k"), "plan JSON group")
@@ -196,14 +192,12 @@ class Plan:
 
 
 def _state_bound(sketch: Sketch, alpha0: float, delta: float, m: int) -> float:
-    # largest completion time under rounded processing is at most
-    # sum(rp * count) / alpha0; total completion at most n times that
+    # a machine's work is 0 or in [1, sum(rp * count)], so its signature
+    # entry takes at most b_p values; one state survives per signature
     total_work = sum(rp * c for rp, c in sketch.entries)
     L = max(total_work / alpha0, 2.0)
-    inv = 1.0 / math.log1p(delta)
-    b_p = math.log(L) * inv + 2.0
-    b_s = math.log(sketch.n * L) * inv + 2.0
-    return (b_p * b_s) ** m
+    b_p = math.log(L) / math.log1p(delta) + 2.0
+    return b_p**m
 
 
 def plan(
@@ -216,11 +210,10 @@ def plan(
 ) -> Plan:
     """Run the DP over the sketch and package the best surviving schedule.
 
-    Each group's expansions are first merged by exact work vector: jobs on a
-    machine run back to back from time 0, so a partial schedule's future cost
-    depends only on its work vector, and the state the keep rule drops
-    loses nothing. The survivors are then pruned by signature. `trace`, if
-    given, receives each group's surviving frontier (see `prune`).
+    Each group's expansions are merged by exact work vector, which loses
+    nothing, then pruned to one per work signature (see the module
+    docstring). `trace`, if given, receives each group's surviving frontier
+    (see `prune`).
 
     eps and alpha0 must be the ones the sketch was built with. The DP is pure
     Python, so threads cannot speed it up; parallel=True is rejected.
@@ -239,8 +232,7 @@ def plan(
     bound = _state_bound(sketch, alpha0, delta, m)
     inv_log = 1.0 / math.log1p(delta)
 
-    zeros = (0.0,) * m
-    frontier = {zeros: (zeros, (), None)}  # the empty schedule, no parent
+    frontier = {(0.0,) * m: (0.0, (), None)}  # the empty schedule, no parent
     max_states = 1
     for g, (rp, n_k) in enumerate(sketch.entries):
         parts = enumerate_partitions(n_k, m, delta)
@@ -250,7 +242,7 @@ def plan(
             for part in parts:
                 nw, ns = append_group(work, entry[0], rp, part, profiles, memo)
                 cur = by_work.get(nw)
-                if cur is None or _wins(nw, ns, nw, cur[0]):
+                if cur is None or ns < cur[0]:  # the keep rule at equal work
                     by_work[nw] = (ns, part, entry)
         frontier = prune(by_work, inv_log)
         if len(frontier) > bound:
@@ -262,12 +254,9 @@ def plan(
             trace.append(frontier)
         max_states = max(max_states, len(frontier))
 
-    best = None
-    for work, (sigma, _part, _parent) in frontier.items():
-        if best is None or _wins(work, sigma, best, frontier[best][0]):
-            best = work
-    entry = frontier[best]
-    sigma_sp = sum(entry[0])
+    # the keep rule; the work vectors are distinct
+    entry = frontier[min(frontier, key=lambda w: (frontier[w][0], w))]
+    sigma_sp = entry[0]
     V = (1.0 + eps / 3.0) * (1.0 + eps / 15.0) * sigma_sp
 
     # counts[machine][group]: one split per group along the winner's parents

@@ -13,7 +13,9 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .model import require_integers, require_keys, require_list, require_numbers
+from .model import (
+    require_integers, require_keys, require_list, require_numbers, require_positive,
+)
 
 
 class EmptyStreamError(Exception):
@@ -94,7 +96,7 @@ def rounded_value(k: int, tau: float) -> int:
 
 
 # the numbers, then the list of entries
-_SKETCH_KEYS = ("eps", "alpha0", "tau", "n", "p_max", "p_minL_final", "entries")
+_SKETCH_KEYS = ("eps", "alpha0", "tau", "n", "p_max", "entries")
 
 
 @dataclass(frozen=True)
@@ -104,7 +106,6 @@ class Sketch:
     entries: tuple[tuple[int, int], ...]  # (rp, count), ascending by rp
     n: int
     p_max: int
-    p_minL_final: float
     tau: float
     eps: float
     alpha0: float
@@ -116,20 +117,21 @@ class Sketch:
             "tau": self.tau,
             "n": self.n,
             "p_max": self.p_max,
-            "p_minL_final": self.p_minL_final,
             "entries": [{"rp": rp, "count": c} for rp, c in self.entries],
         }
         return json.dumps(obj, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "Sketch":
-        """Keys this format no longer uses (older files carry one) are ignored;
-        a missing key, or a value of the wrong JSON kind, raises ValueError
-        naming it."""
+        """Keys this format no longer uses (older files carry two) are ignored;
+        a missing key, a value of the wrong JSON kind, or eps, alpha0 or tau
+        out of range raises ValueError naming it."""
         obj = json.loads(text)
         require_keys(obj, _SKETCH_KEYS, "sketch JSON")
         require_numbers(obj, _SKETCH_KEYS[:-1], "sketch JSON")
         require_integers(obj, ("n", "p_max"), "sketch JSON")
+        require_positive(obj, ("eps", "alpha0"), "sketch JSON", 1.0)
+        require_positive(obj, ("tau",), "sketch JSON")
         for e in require_list(obj["entries"], "sketch JSON 'entries'"):
             require_keys(e, ("rp", "count"), "sketch JSON entry")
             require_integers(e, ("rp", "count"), "sketch JSON entry")
@@ -139,7 +141,6 @@ class Sketch:
             ),
             n=int(obj["n"]),
             p_max=int(obj["p_max"]),
-            p_minL_final=obj["p_minL_final"],
             tau=obj["tau"],
             eps=obj["eps"],
             alpha0=obj["alpha0"],
@@ -293,7 +294,6 @@ class SketchBuilder:
             ),
             n=n,
             p_max=p_max,
-            p_minL_final=p_minL_final,
             tau=self.tau,
             eps=self.eps,
             alpha0=self.alpha0,

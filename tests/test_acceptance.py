@@ -218,7 +218,7 @@ def test_criterion_6_prune_soundness(instance_batch):
         inv_log = 1.0 / math.log1p(pl.delta)
         for frontier in r["trace"]:
             prune_calls += 1
-            sigs = [signature(w, e[0], inv_log) for w, e in frontier.items()]
+            sigs = [signature(w, inv_log) for w in frontier]
             assert len(sigs) == len(set(sigs))
             assert len(frontier) <= bound
     _announce(6, f"{prune_calls} prune calls sound")

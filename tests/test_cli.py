@@ -512,6 +512,21 @@ MALFORMED = {
         {"plan": json_with(tau=0.0)},
         "tau must be > 0",
     ),
+    "plan-infinite-tau": (
+        "schedule",
+        {"plan": json_with(tau=math.inf)},
+        "plan JSON: tau must be > 0 and finite, got Infinity",
+    ),
+    "plan-alpha0-above-one": (
+        "schedule",
+        {"plan": json_with(alpha0=7)},
+        "plan JSON: alpha0 must be in (0, 1], got 7",
+    ),
+    "sketch-nan-eps": (
+        "approximate",
+        {"sketch": json_with(eps=math.nan)},
+        "sketch JSON: eps must be in (0, 1], got NaN",
+    ),
     "schedule-without-completion": (
         "eval",
         {"schedule": "job_id,machine,start\n1,1,0.0\n2,1,1.0\n3,1,2.0\n"},

@@ -9,7 +9,9 @@ from streamsched.assigner import emit
 from streamsched.model import (
     Instance,
     Job,
+    evaluate_schedule,
     flat_profile,
+    random_instance,
     random_profile,
     run_batch,
     work_to_time,
@@ -56,7 +58,7 @@ class TestDelta:
     def test_empty(self):
         sk = make_sketch([1])
         empty = sk.__class__(
-            entries=(), n=1, p_max=1, p_minL_final=0.5, tau=sk.tau,
+            entries=(), n=1, p_max=1, tau=sk.tau,
             eps=1.0, alpha0=1.0,
         )
         with pytest.raises(EmptySketchError):
@@ -69,45 +71,45 @@ INV_LOG_1 = 1.0 / math.log1p(1.0)  # signature scale at delta = 1
 class TestAppendGroup:
     def test_single_machine_growth(self, unit_profile):
         profiles = (unit_profile,)
-        w1, s1 = append_group((0.0,), (0.0,), 1, (2,), profiles, {})
+        w1, s1 = append_group((0.0,), 0.0, 1, (2,), profiles, {})
         assert work_to_time(unit_profile, 0.0, w1[0]) == 2.0
         assert w1 == (2.0,)
-        assert s1 == (3.0,)
+        assert s1 == 3.0
         w2, s2 = append_group(w1, s1, 2, (1,), profiles, {})
         assert work_to_time(unit_profile, 0.0, w2[0]) == 4.0
         assert w2 == (4.0,)
-        assert s2 == (7.0,)
+        assert s2 == 7.0
 
     def test_zero_count_is_identity(self):
         profiles = (flat_profile(1.0, 1), flat_profile(1.0, 2))
-        w1, s1 = append_group((0.0, 0.0), (0.0, 0.0), 3, (0, 2), profiles, {})
-        assert w1[0] == 0.0 and s1[0] == 0.0
+        w1, s1 = append_group((0.0, 0.0), 0.0, 3, (0, 2), profiles, {})
+        assert w1[0] == 0.0 and s1 == 3.0 + 6.0  # machine 2's batch only
         assert work_to_time(profiles[1], 0.0, w1[1]) == 6.0
 
 
 class TestSignature:
     def test_bucket_values(self):
-        assert signature((10.0,), (20.0,), INV_LOG_1) == ((3, 4),)
+        assert signature((10.0,), INV_LOG_1) == (3,)
 
     def test_similar_states_share_signature(self):
-        a = signature((10.0,), (20.0,), INV_LOG_1)
-        assert a == signature((15.0,), (30.0,), INV_LOG_1)
+        a = signature((10.0,), INV_LOG_1)
+        assert a == signature((15.0,), INV_LOG_1)
 
     def test_zero_symbol(self):
-        assert signature((0.0,), (0.0,), INV_LOG_1) == ((ZERO, ZERO),)
+        assert signature((0.0,), INV_LOG_1) == (ZERO,)
 
 
 class TestPrune:
     # frontiers map a work vector to its (sigma, part, parent) entry
-    A = {(10.0,): ((20.0,), (1,), None)}
-    B = {(15.0,): ((30.0,), (1,), None)}
+    A = {(10.0,): (20.0, (1,), None)}
+    B = {(15.0,): (30.0, (1,), None)}
 
     def test_keeps_smaller_sigma(self):
         assert prune({**self.A, **self.B}, INV_LOG_1) == self.A
         assert prune({**self.B, **self.A}, INV_LOG_1) == self.A
 
     def test_distinct_signatures_all_survive(self):
-        far = {(100.0,): ((300.0,), (1,), None)}
+        far = {(100.0,): (300.0, (1,), None)}
         assert len(prune({**self.A, **far}, INV_LOG_1)) == 2
 
     def test_empty(self):
@@ -161,7 +163,7 @@ class TestPlan:
         pl = plan(sk, profiles, 0.5, 0.5, trace=trace)
         inv_log = 1.0 / math.log1p(pl.delta)
         for frontier in trace:
-            sigs = [signature(w, e[0], inv_log) for w, e in frontier.items()]
+            sigs = [signature(w, inv_log) for w in frontier]
             assert len(sigs) == len(set(sigs))
 
     def test_eps_alpha0_must_match_sketch(self, unit_profile):
@@ -256,6 +258,39 @@ class TestPlannerScale:
         # signature-only pruning ran past 120 s on this size class
         sk, profiles = _random_case(0, 40, 2, 1.0, 1.0, 100)
         assert plan(sk, profiles, 1.0, 1.0).max_states <= 4400  # now 2195
+
+    def test_n40_m3_frontier_pinned(self):
+        # total work * delta is below 1, so the prune removes nothing and
+        # this is the exact DP's peak
+        inst = random_instance(random.Random(1), 40, 3, 20, 0.5)
+        sk = sketch_stream([j.p for j in inst.jobs], 1.0, 0.5)
+        assert plan(sk, inst.machines, 1.0, 0.5).max_states == 77421
+
+
+class TestActivePrune:
+    # total work * delta is about 10 here, so the prune merges distinct work
+    # vectors; the paper's (work, sigma) signature kept 944, 903 and 708
+    # states on these seeds, with the same counts
+    @pytest.mark.parametrize("seed, max_states", [(1, 673), (2, 678), (3, 521)])
+    def test_sandwich(self, seed, max_states):
+        eps, alpha0 = 1.0, 0.5
+        inst = random_instance(random.Random(seed), 10, 2, 1000, alpha0)
+        stream = [j.p for j in inst.jobs]
+        sk = sketch_stream(stream, eps, alpha0)
+        trace = []
+        pl = plan(sk, inst.machines, eps, alpha0, trace=trace)
+        assert sum(rp * c for rp, c in sk.entries) * pl.delta > 1
+        bound = planner._state_bound(sk, alpha0, pl.delta, len(inst.machines))
+        inv_log = 1.0 / math.log1p(pl.delta)
+        for frontier in trace:
+            sigs = {signature(w, inv_log) for w in frontier}
+            assert len(sigs) == len(frontier) <= bound
+        opt = brute_force_opt(inst).opt_value
+        assert opt <= pl.V * (1 + 1e-9)
+        assert pl.V <= (1 + eps) * opt * (1 + 1e-9)
+        schedule, _ = emit(pl, stream, inst.machines)
+        assert evaluate_schedule(inst, schedule) <= (1 + eps) * opt * (1 + 1e-9)
+        assert pl.max_states == max_states
 
 
 class TestKeepRuleTies:

@@ -72,7 +72,8 @@ class TestObserve:
         assert b.p_curMax == 2
         sk = b.finalize()
         assert sk.entries == ((1, 2), (2, 1))
-        assert sk.p_minL_final == pytest.approx(2 / 27)
+        # the final threshold 2/27 keeps every job
+        assert sum(c for _, c in sk.entries) == sk.n
 
     def test_threshold_rises_with_n_upper(self):
         b = SketchBuilder(1.0, 1.0, KnowledgeMode(n_upper=10))
@@ -149,13 +150,15 @@ class TestFinalize:
     def test_single_job(self):
         sk = sketch_stream([1], 1.0, 1.0)
         assert sk.entries == ((1, 1),)
-        assert sk.p_minL_final == pytest.approx(1 / 3)
+        # the final threshold 1/3 keeps the job
+        assert sum(c for _, c in sk.entries) == sk.n
 
     def test_boundary_entry_dropped(self):
-        # p_minL_final = 300/(3*100) = 1.0 exactly; rp=1 fails the strict filter
+        # the final threshold is 300/(3*100) = 1.0 exactly; rp=1 fails the
+        # strict filter, and 300 rounds up to 312
         stream = [1] * 9 + [300]
         sk = sketch_stream(stream, 1.0, 1.0)
-        assert sk.p_minL_final == 1.0
+        assert sk.entries == ((312, 1),)
         assert all(rp > 1 for rp, _ in sk.entries)
         assert sum(c for _, c in sk.entries) == 1
 
