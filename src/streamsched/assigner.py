@@ -69,27 +69,37 @@ def emit(
     table = power_table(tau, len(group_of))
     top = table[len(group_of) - 1]  # the p below it have a bucket in group_of
     rps = [rp for rp, _nk in groups]
-    remaining = [list(row) for row in plan.counts]
-    # free[g]: the first machine with an unused slot of group g, m when there
-    # is none; slots are used up in machine order, so it only moves forward
-    free = [
-        next((i for i in range(m) if remaining[i][g]), m) for g in range(len(groups))
-    ]
-    # slot_work[i][g]: the work machine i has delivered when its next unused
-    # slot of group g starts. Groups run back to back in size order, machine
-    # 1's after the small-job reservation at its head; the extra last entry
-    # is where the machine's timeline ends.
+    # slot_work[i][g]: the work machine i has delivered when its first slot
+    # of group g starts. Groups run back to back in size order, machine 1's
+    # after the small-job reservation at its head; the extra last entry is
+    # where the machine's timeline ends.
     heads = [first.work_at(plan.small_reservation)] + [0.0] * (m - 1)
     slot_work = [
         list(accumulate((c * rp for rp, c in zip(rps, row)), initial=w))
         for w, row in zip(heads, plan.counts)
     ]
-    # slot_piece[i][g]: the profile interval holding slot_work[i][g], the one
-    # time_at() would bisect for; it is walked forward as the slot advances
-    slot_piece = [
-        [bisect_right(prof._works, w) - 1 for w in row]
-        for prof, row in zip(profiles, slot_work)
+    # each machine's interval tables; works gets an infinite sentinel so the
+    # cursor walk needs no bound check
+    tables = [
+        (prof._starts, prof._ends, prof._works + (math.inf,), prof._alphas, prof)
+        for prof in profiles
     ]
+
+    def load(g: int, i: int):
+        """Group g's cursor on the first machine from i with a slot of it:
+        (work coordinate of its next slot, the interval holding it, slots
+        left there, slot length, machine, its tables), or None when no
+        machine has one. Slots are used up in machine order, so a group's
+        cursor only moves forward."""
+        while i < m and not plan.counts[i][g]:
+            i += 1
+        if i == m:
+            return None
+        w = slot_work[i][g]
+        j = bisect_right(tables[i][2], w) - 1
+        return (w, j, plan.counts[i][g], rps[g], i, tables[i])
+
+    cursor = [load(g, 0) for g in range(len(groups))]
     # smalls must finish before machine 1's first large slot; the ones that
     # do not fit go past the end of its timeline
     small_cursor = 0.0
@@ -106,10 +116,10 @@ def emit(
         fp = float(p)
         x = fp if p < FLOAT_EXACT else p
         g = group_of[bisect_right(table, x)] if x < top else None
-        if g is not None and free[g] == m:
-            bucket_overflow += 1
-            g = None
-        if g is None:
+        cur = None if g is None else cursor[g]
+        if cur is None:
+            if g is not None:
+                bucket_overflow += 1
             profile = first
             start = small_cursor
             completion = work_to_time(profile, start, fp)
@@ -122,27 +132,26 @@ def emit(
                 small_cursor = completion
             small_placed += 1
         else:
-            i = free[g]
-            profile = profiles[i]
-            w = slot_work[i][g]
-            works = profile._works
-            j = slot_piece[i][g]
-            while j + 1 < len(works) and works[j + 1] <= w:
+            w, j, left, rp, i, tab = cur
+            starts, ends, works, alphas, profile = tab
+            while works[j + 1] <= w:
                 j += 1
-            slot_piece[i][g] = j
-            start = profile._starts[j] + (w - works[j]) / profile._alphas[j]
+            alpha = alphas[j]
+            start = starts[j] + (w - works[j]) / alpha
             # the completion is walked from the start, not read off
             # G^-1(w + p): deep in a timeline the difference of two G^-1
             # values loses the digits the evaluator needs to see exactly p
-            # units of work
-            completion = work_to_time(profile, start, fp)
-            slot_work[i][g] = w + rps[g]
-            row = remaining[i]
-            row[g] -= 1
-            if row[g] == 0:  # machine i has used up its slots of group g
-                while i < m and remaining[i][g] == 0:
-                    i += 1
-                free[g] = i
+            # units of work. A job that ends in interval j is work_to_time's
+            # first case, inlined; the rest call it. A start rounded onto
+            # interval j's end fails the test by itself, as fp > 0.
+            if fp - alpha * (ends[j] - start) <= 0:
+                completion = start + fp / alpha
+            else:
+                completion = work_to_time(profile, start, fp)
+            if left > 1:
+                cursor[g] = (w + rp, j, left - 1, rp, i, tab)
+            else:  # machine i has used up its slots of group g
+                cursor[g] = load(g, i + 1)
         place(new(PlacedJob, (job_id, profile.machine_index, start, completion)))
     if job_id != plan.n:
         raise StreamMismatchError(f"pass 2 saw {job_id} jobs, plan expects {plan.n}")

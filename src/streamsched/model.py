@@ -267,46 +267,70 @@ def run_batch(
 
 
 def evaluate_schedule(instance: Instance, schedule: Schedule) -> float:
-    """Total completion time of a schedule; raises on any feasibility violation."""
-    sizes = {j.id: j.p for j in instance.jobs}
-    seen: set[int] = set()
+    """Total completion time of a schedule; raises on any feasibility violation.
+
+    Every placement must satisfy 0 <= start < completion < inf. Each
+    machine's jobs are then walked in start order with a cursor on its
+    profile intervals that only moves forward: a job that ends in the
+    interval holding its start delivers that interval's capacity times its
+    length, which is what work_between computes for it, and only a job
+    that crosses a boundary calls work_between.
+    """
+    # each job's size as the float the work check compares with
+    unplaced = {j.id: float(j.p) for j in instance.jobs}
     profiles = {p.machine_index: p for p in instance.machines}
-    per_machine: dict[int, list[PlacedJob]] = {}
-    for pl in schedule.placements:
-        job_id, mi, start, completion = pl
-        if job_id not in sizes:
+    # machines in the order of their first placement, the order of the sum
+    per_machine: dict[int, list[tuple[float, float, int, float]]] = {}
+    inf = math.inf
+    for job_id, mi, start, completion in schedule.placements:
+        p = unplaced.pop(job_id, None)
+        if p is None:
+            if any(j.id == job_id for j in instance.jobs):
+                raise MissingJobError(f"job {job_id} placed more than once")
             raise MissingJobError(f"placement for unknown job {job_id}")
-        if job_id in seen:
-            raise MissingJobError(f"job {job_id} placed more than once")
-        seen.add(job_id)
-        if mi not in profiles:
-            raise ScheduleError(f"unknown machine {mi}")
-        if completion <= start:
-            raise WorkMismatchError(
-                f"job {job_id}: completion {completion} <= start {start}"
+        placed = per_machine.get(mi)
+        if placed is None:
+            if mi not in profiles:
+                raise ScheduleError(f"unknown machine {mi}")
+            placed = per_machine[mi] = []
+        if not 0.0 <= start < completion < inf:
+            if completion <= start:
+                raise WorkMismatchError(
+                    f"job {job_id}: completion {completion} <= start {start}"
+                )
+            raise ScheduleError(
+                f"job {job_id}: start {start} and completion {completion} "
+                "must satisfy 0 <= start < completion < inf"
             )
-        per_machine.setdefault(mi, []).append(pl)
-    missing = set(sizes) - seen
-    if missing:
-        raise MissingJobError(f"jobs never placed: {sorted(missing)}")
+        placed.append((start, completion, job_id, p))
+    if unplaced:
+        raise MissingJobError(f"jobs never placed: {sorted(unplaced)}")
 
     total = 0.0
     for mi, placed in per_machine.items():
         profile = profiles[mi]
-        placed.sort(key=itemgetter(2))
+        ends, alphas = profile._ends, profile._alphas
+        placed.sort(key=itemgetter(0))  # stable: equal starts keep their order
         prev_end = 0.0
-        for job_id, _mi, start, completion in placed:
+        i, end = 0, ends[0]  # the interval holding the start, and its end
+        for start, completion, job_id, p in placed:
             if start < prev_end and not _close(start, prev_end):
                 raise OverlapError(
                     f"machine {mi}: job {job_id} starts at {start} "
                     f"before previous completion {prev_end}"
                 )
-            delivered = work_between(profile, start, completion)
-            p = sizes[job_id]
-            if not _close(delivered, float(p)):
+            while end <= start:
+                i += 1
+                end = ends[i]
+            if completion <= end:
+                delivered = alphas[i] * (completion - start)
+            else:
+                delivered = work_between(profile, start, completion)
+            # not _close(delivered, p), for delivered >= 0 and p >= 1
+            if abs(delivered - p) > REL_TOL * (p if p > delivered else delivered):
                 raise WorkMismatchError(
                     f"job {job_id} on machine {mi}: delivered {delivered}, "
-                    f"needs {p}"
+                    f"needs {p:.17g}"
                 )
             prev_end = completion
             total += completion
@@ -391,6 +415,17 @@ def require_positive(obj, keys, what: str, top: float = math.inf) -> None:
         if not 0.0 < value <= top or value == math.inf:
             want = "> 0 and finite" if top == math.inf else f"in (0, {top:g}]"
             raise ValueError(f"{what}: {key} must be {want}, got {json.dumps(value)}")
+
+
+def require_at_least(obj, keys, what: str, low: float) -> None:
+    """Raise ValueError naming `what` and the key unless obj[key] is finite
+    and at least `low`; call it after require_numbers."""
+    for key in keys:
+        value = obj[key]
+        if not low <= value < math.inf:
+            raise ValueError(
+                f"{what}: {key} must be >= {low:g} and finite, got {json.dumps(value)}"
+            )
 
 
 def require_list(value, what: str) -> list:

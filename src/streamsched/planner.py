@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from .model import (
     MachineProfile,
     require_alpha0,
+    require_at_least,
     require_distinct_machines,
     require_integers,
     require_keys,
@@ -164,16 +165,19 @@ class Plan:
     def from_json(cls, text: str) -> "Plan":
         """Keys this format no longer uses (older files carry some, such as
         `starts`) are ignored; a missing key, a value of the wrong JSON kind,
-        or eps, alpha0, tau or delta out of range raises ValueError naming it."""
+        eps, alpha0, tau, delta or small_reservation out of range, or a
+        group's rp or n_k below 1 raises ValueError naming it."""
         obj = json.loads(text)
         require_keys(obj, _PLAN_KEYS, "plan JSON")
         require_numbers(obj, _PLAN_KEYS[:-2], "plan JSON")
         require_integers(obj, ("n",), "plan JSON")
         require_positive(obj, ("eps", "alpha0"), "plan JSON", 1.0)
         require_positive(obj, ("tau", "delta"), "plan JSON")
+        require_at_least(obj, ("small_reservation",), "plan JSON", 0)
         for g in require_list(obj["groups"], "plan JSON 'groups'"):
             require_keys(g, ("rp", "n_k"), "plan JSON group")
             require_integers(g, ("rp", "n_k"), "plan JSON group")
+            require_at_least(g, ("rp", "n_k"), "plan JSON group", 1)
         for i, row in enumerate(require_list(obj["counts"], "plan JSON 'counts'")):
             require_list(row, f"plan JSON 'counts' row {i}")
             require_integers(row, range(len(row)), f"plan JSON 'counts' row {i} entry")

@@ -14,7 +14,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .model import (
-    require_integers, require_keys, require_list, require_numbers, require_positive,
+    require_at_least, require_integers, require_keys, require_list, require_numbers,
+    require_positive,
 )
 
 
@@ -124,8 +125,9 @@ class Sketch:
     @classmethod
     def from_json(cls, text: str) -> "Sketch":
         """Keys this format no longer uses (older files carry two) are ignored;
-        a missing key, a value of the wrong JSON kind, or eps, alpha0 or tau
-        out of range raises ValueError naming it."""
+        a missing key, a value of the wrong JSON kind, eps, alpha0 or tau out
+        of range, or an entry's rp or count below 1 raises ValueError naming
+        it."""
         obj = json.loads(text)
         require_keys(obj, _SKETCH_KEYS, "sketch JSON")
         require_numbers(obj, _SKETCH_KEYS[:-1], "sketch JSON")
@@ -135,6 +137,7 @@ class Sketch:
         for e in require_list(obj["entries"], "sketch JSON 'entries'"):
             require_keys(e, ("rp", "count"), "sketch JSON entry")
             require_integers(e, ("rp", "count"), "sketch JSON entry")
+            require_at_least(e, ("rp", "count"), "sketch JSON entry", 1)
         return cls(
             entries=tuple(
                 sorted((int(e["rp"]), int(e["count"])) for e in obj["entries"])

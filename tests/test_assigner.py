@@ -4,7 +4,6 @@ import random
 import pytest
 from conftest import boundary_streams, make_profile
 
-from streamsched import assigner
 from streamsched.assigner import StreamMismatchError, emit
 from streamsched.model import (
     CapacityInterval,
@@ -193,30 +192,33 @@ class TestEmit:
                 )
                 assert profile.interval_index_at(last) > 300
 
-    def test_work_to_time_called_once_per_large_job(self, monkeypatch):
-        # a caller may replace assigner.work_to_time to count the calls
+    def test_slots_on_and_across_interval_boundaries(self):
+        # every piece delivers exactly one unit of work, so slots of whole
+        # rounded sizes start on boundaries and a job of its slot's size ends
+        # on one; larger jobs cross many, and those rounded up end mid-piece
         rng = random.Random(32)
-        profiles = tuple(random_profile(rng, 0.5, i + 1, 6) for i in range(2))
-        stream = [1, 1, 2] + [rng.randint(20, 40) for _ in range(12)] + [2000]
+        profiles = (
+            make_profile([(2, 0.5), (1, 1.0)] * 200 + [(None, 1.0)], 1),
+            make_profile([(1, 1.0), (2, 0.5)] * 200 + [(None, 0.5)], 2),
+        )
+        stream = [1] * 40 + [2] * 30 + [3] * 20 + [100] * 5 + [230] * 4
         pl = build_plan(stream, profiles, eps=1.0, alpha0=0.5)
-        calls = []
-
-        def counted(profile, start, work):
-            calls.append((profile.machine_index, start, work))
-            return work_to_time(profile, start, work)
-
-        monkeypatch.setattr(assigner, "work_to_time", counted)
-        sched, report = emit(pl, stream, profiles)
-        assert report.small_placed > 0 and report.reservation_overflow == 0
-        slots = reference_slots(pl, stream, profiles)
-        large = [
-            (pj.machine_index, pj.start, float(p))
-            for pj, p, slot in zip(sched.placements, stream, slots)
-            if slot is not None
-        ]
-        assert large and len(calls) == len(stream)
-        for call in large:
-            assert calls.count(call) == 1
+        assert all(any(row) for row in pl.counts)
+        by_machine = {p.machine_index: p for p in profiles}
+        for _ in range(4):
+            rng.shuffle(stream)
+            sched, report = assert_large_jobs_match_reference(pl, stream, profiles)
+            assert report.small_placed == 0 and not report.mismatch
+            kinds = set()
+            for pj in sched.placements:
+                prof = by_machine[pj.machine_index]
+                i = prof.interval_index_at(pj.start)
+                end = prof.intervals[i].end
+                kinds.add(
+                    "on" if pj.completion == end
+                    else "inside" if pj.completion < end else "across"
+                )
+            assert kinds == {"on", "inside", "across"}
 
     def test_stream_mismatch(self, unit_profile):
         pl = build_plan([1, 1, 2], (unit_profile,))

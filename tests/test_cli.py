@@ -276,6 +276,32 @@ class TestSubcommands:
         assert rc == 1
         assert "infeasible" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("2,1,2.0,inf", "job 2: start 2.0 and completion inf must satisfy"),
+            ("2,1,-1e-10,1.9999999999", "job 2: start -1e-10 and completion"),
+        ],
+        ids=["infinite-completion", "negative-start"],
+    )
+    def test_schedule_off_the_timeline_is_infeasible(
+        self, tmp_path, capsys, row, message
+    ):
+        jobs = tmp_path / "jobs.txt"
+        write_jobs(jobs, [2, 2])
+        profile = tmp_path / "profile.json"
+        dump_profiles((flat_profile(1.0, 1),), str(profile))
+        sched = tmp_path / "schedule.csv"
+        sched.write_text(f"job_id,machine,start,completion\n1,1,0.0,2.0\n{row}\n")
+        rc = main(
+            [
+                "eval", "--schedule", str(sched), "--profile", str(profile),
+                "--jobs", str(jobs),
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().out.startswith(f"infeasible: {message}")
+
     def test_duplicate_machine_index_fails(self, tmp_path, capsys):
         jobs = tmp_path / "jobs.txt"
         write_jobs(jobs, [3, 3, 3, 3])
@@ -526,6 +552,36 @@ MALFORMED = {
         "approximate",
         {"sketch": json_with(eps=math.nan)},
         "sketch JSON: eps must be in (0, 1], got NaN",
+    ),
+    "plan-infinite-small-reservation": (
+        "schedule",
+        {"plan": json_with(small_reservation=math.inf)},
+        "plan JSON: small_reservation must be >= 0 and finite, got Infinity",
+    ),
+    "plan-negative-small-reservation": (
+        "schedule",
+        {"plan": json_with(small_reservation=-5)},
+        "plan JSON: small_reservation must be >= 0 and finite, got -5",
+    ),
+    "plan-negative-rp": (
+        "schedule",
+        {"plan": json_with(groups=[{"rp": -3, "n_k": 2}, {"rp": 2, "n_k": 1}])},
+        "plan JSON group: rp must be >= 1 and finite, got -3",
+    ),
+    "sketch-negative-count": (
+        "approximate",
+        {"sketch": json_with(entries=[{"rp": 1, "count": -1}, {"rp": 2, "count": 1}])},
+        "sketch JSON entry: count must be >= 1 and finite, got -1",
+    ),
+    "sketch-zero-rp": (
+        "approximate",
+        {"sketch": json_with(entries=[{"rp": 0, "count": 2}, {"rp": 2, "count": 1}])},
+        "sketch JSON entry: rp must be >= 1 and finite, got 0",
+    ),
+    "sketch-zero-count": (
+        "approximate",
+        {"sketch": json_with(entries=[{"rp": 1, "count": 0}, {"rp": 2, "count": 1}])},
+        "sketch JSON entry: count must be >= 1 and finite, got 0",
     ),
     "schedule-without-completion": (
         "eval",

@@ -1,5 +1,7 @@
 import math
 import random
+from bisect import bisect_right
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from streamsched.model import (
     OverlapError,
     PlacedJob,
     Schedule,
+    ScheduleError,
     WorkMismatchError,
     evaluate_schedule,
     flat_profile,
@@ -124,6 +127,165 @@ class TestEvaluateSchedule:
         sched = Schedule((PlacedJob(1, 1, 0.0, 2.0), PlacedJob(1, 1, 2.0, 4.0)))
         with pytest.raises(MissingJobError):
             evaluate_schedule(inst, sched)
+
+
+    @pytest.mark.parametrize(
+        "start, completion",
+        [(-1e-10, 3 - 1e-10), (0.0, math.inf), (math.nan, 4.0), (0.0, math.nan)],
+        ids=["negative-start", "infinite-completion", "nan-start", "nan-completion"],
+    )
+    def test_placement_outside_the_timeline_rejected(self, start, completion):
+        # at -1e-10 the overlap check's 1e-9 slack would let the job through,
+        # and it would be measured on the last interval: by t = 3 the machine
+        # has delivered only 2 units
+        prof = make_profile([(2, 0.5), (None, 1.0)])
+        inst = Instance((prof,), (Job(1, 3),), 0.5)
+        sched = Schedule((PlacedJob(1, 1, start, completion),))
+        with pytest.raises(ScheduleError, match="job 1: start .* must satisfy"):
+            evaluate_schedule(inst, sched)
+
+    def test_completion_at_start_keeps_its_message(self):
+        inst = Instance((flat_profile(1.0),), (Job(1, 2),), 1.0)
+        sched = Schedule((PlacedJob(1, 1, -1.0, -1.0),))
+        with pytest.raises(WorkMismatchError, match="completion -1.0 <= start -1.0"):
+            evaluate_schedule(inst, sched)
+
+    def test_job_ending_on_a_boundary(self):
+        # one job ends where its interval ends, the next crosses two
+        # boundaries; the cursor must measure both as work_between does
+        prof = make_profile([(2, 0.5), (1, 1.0), (2, 0.5), (None, 1.0)])
+        inst = Instance((prof,), (Job(1, 1), Job(2, 2)), 0.5)
+        sched = Schedule((PlacedJob(1, 1, 0.0, 2.0), PlacedJob(2, 1, 2.0, 5.0)))
+        assert evaluate_schedule(inst, sched) == 7.0
+
+
+def reference_evaluate(instance, schedule):
+    """evaluate_schedule as it was before its interval cursor: a bisection
+    and work_between for every job, without the timeline check on starts
+    and completions; the equivalence test compares the two."""
+    sizes = {j.id: j.p for j in instance.jobs}
+    seen = set()
+    profiles = {p.machine_index: p for p in instance.machines}
+    per_machine = {}
+    for pl in schedule.placements:
+        job_id, mi, start, completion = pl
+        if job_id not in sizes:
+            raise MissingJobError(f"placement for unknown job {job_id}")
+        if job_id in seen:
+            raise MissingJobError(f"job {job_id} placed more than once")
+        seen.add(job_id)
+        if mi not in profiles:
+            raise ScheduleError(f"unknown machine {mi}")
+        if completion <= start:
+            raise WorkMismatchError(f"job {job_id}: completion <= start")
+        per_machine.setdefault(mi, []).append(pl)
+    if set(sizes) - seen:
+        raise MissingJobError("jobs never placed")
+    total = 0.0
+    for mi, placed in per_machine.items():
+        profile = profiles[mi]
+        placed.sort(key=itemgetter(2))
+        prev_end = 0.0
+        for job_id, _mi, start, completion in placed:
+            if start < prev_end and not _close(start, prev_end):
+                raise OverlapError(f"machine {mi}: job {job_id} overlaps")
+            delivered = work_between(profile, start, completion)
+            if not _close(delivered, float(sizes[job_id])):
+                raise WorkMismatchError(f"job {job_id}: delivered {delivered}")
+            prev_end = completion
+            total += completion
+    return total
+
+
+def _close(a, b):
+    return abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
+
+
+def _mutants(rng, inst, placements):
+    """Schedules one edit away from an emitted one: shifted starts, moved,
+    shortened or stretched jobs, wrong machines, duplicated, dropped or
+    swapped jobs, and jobs moved onto or across interval boundaries."""
+    profiles = {p.machine_index: p for p in inst.machines}
+    sizes = {j.id: j.p for j in inst.jobs}
+    out = []
+    for _ in range(4):
+        pls = list(placements)
+        k = rng.randrange(len(pls))
+        job_id, mi, start, completion = pls[k]
+        prof = profiles[mi]
+        p = float(sizes[job_id])
+        kind = rng.randrange(10)
+        if kind == 0:  # start shifted, completion kept
+            shift = rng.choice([-1, 1]) * rng.choice([1e-12, 1e-6, 0.3, 2.0])
+            pls[k] = PlacedJob(job_id, mi, start + shift, completion)
+        elif kind == 1:  # the whole job moved, its completion recomputed
+            new_start = max(0.0, start + rng.uniform(-3.0, 3.0))
+            pls[k] = PlacedJob(job_id, mi, new_start, work_to_time(prof, new_start, p))
+        elif kind == 2:  # completion shortened or stretched
+            scale = rng.choice([1e-13, 1e-8, 0.1]) * rng.choice([-1, 1])
+            pls[k] = PlacedJob(
+                job_id, mi, start, completion + scale * (completion - start)
+            )
+        elif kind == 3:  # another machine, present or not
+            other = rng.choice([*profiles, max(profiles) + 1])
+            pls[k] = PlacedJob(job_id, other, start, completion)
+        elif kind == 4:
+            pls.insert(rng.randrange(len(pls) + 1), pls[k])
+        elif kind == 5:
+            del pls[k]
+        elif kind == 6 and len(pls) > 1:  # two jobs swap ids
+            k2 = rng.randrange(len(pls))
+            a, b = pls[k], pls[k2]
+            pls[k], pls[k2] = a._replace(job_id=b.job_id), b._replace(job_id=a.job_id)
+        elif kind in (7, 8):  # the job starts on a boundary or just before one
+            i = rng.randrange(len(prof.intervals))
+            new_start = prof.intervals[i].start
+            if kind == 8 and i > 0:
+                before = new_start - prof.intervals[i - 1].start
+                new_start -= rng.uniform(0.0, 0.5) * before
+            pls[k] = PlacedJob(job_id, mi, new_start, work_to_time(prof, new_start, p))
+        else:  # ends exactly where its start's interval ends
+            i = bisect_right(prof._starts, start) - 1
+            pls[k] = PlacedJob(job_id, mi, start, prof.intervals[i].end)
+        out.append(Schedule(tuple(pls)))
+    return out
+
+
+def _outcome(evaluate, inst, sched):
+    try:
+        return evaluate(inst, sched)
+    except ScheduleError as exc:
+        return type(exc)
+
+
+def test_evaluator_matches_reference_on_emitted_and_mutated_schedules():
+    rng = random.Random(41)
+    outcomes = []
+    rejected = 0
+    for _ in range(400):
+        m = rng.randint(1, 3)
+        profiles = tuple(random_profile(rng, 0.5, i + 1, 8) for i in range(m))
+        max_p = rng.choice([5, 30])
+        stream = [rng.randint(1, max_p) for _ in range(rng.randint(2, 9))]
+        jobs = tuple(Job(i, p) for i, p in enumerate(stream, 1))
+        inst = Instance(profiles, jobs, 0.5)
+        pl = plan(sketch_stream(stream, 1.0, 0.5), profiles, 1.0, 0.5)
+        sched, _ = emit(pl, stream, profiles)
+        for s in [sched, *_mutants(rng, inst, sched.placements)]:
+            new = _outcome(evaluate_schedule, inst, s)
+            if any(
+                completion > start and not 0.0 <= start < completion < math.inf
+                for _j, _mi, start, completion in s.placements
+            ):  # the reference does not check this
+                assert isinstance(new, type) and issubclass(new, ScheduleError)
+                rejected += 1
+                continue
+            assert new == _outcome(reference_evaluate, inst, s)
+            outcomes.append(new if isinstance(new, type) else float)
+    assert len(outcomes) > 1800 and rejected > 0
+    assert set(outcomes) == {
+        float, OverlapError, WorkMismatchError, MissingJobError, ScheduleError
+    }
 
 
 class TestScheduleCsv:
