@@ -2,9 +2,9 @@
 
 Each incoming job is matched to a remaining (machine, group) slot by rounded
 processing time; when a bucket's slots are exhausted (or the job rounds below
-every group) the job joins the small pile on machine 1. Working space is the
-plan's m-by-mu counters, a map from the buckets seen to their groups and the
-single in-flight job.
+every group) the job joins the small pile on machine 1. Working space is an
+m-by-mu table of first-slot work coordinates, one slot cursor per group, a
+map from the buckets seen to their groups and the single in-flight job.
 
 Large jobs start exactly at their slot time. The slots are laid out on the
 profiles pass 2 is given, and a job's true length never exceeds the rounded
