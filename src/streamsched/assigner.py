@@ -22,7 +22,7 @@ from itertools import accumulate
 
 from .model import MachineProfile, PlacedJob, Schedule, work_to_time
 from .planner import Plan
-from .sketch import FLOAT_EXACT, power_table, rounded_value
+from .sketch import FLOAT_EXACT, power_table, rounded_value, tau_from
 
 
 class StreamMismatchError(Exception):
@@ -50,14 +50,14 @@ def emit(
     (any order). A large job starts where its slot starts, G^-1 of the slot's
     work coordinate, and completes after its true processing time; the slot
     coordinate then advances by the rounded length, to the next slot.
-    Raises ValueError when the profile count differs from the plan's."""
+    Raises ValueError when the profile count differs from the plan's, or
+    naming the group when a group's rp is no rounded size at the plan's
+    tau."""
     if len(profiles) != len(plan.counts):
         raise ValueError(
             f"plan is for {len(plan.counts)} machines, got {len(profiles)} profiles"
         )
-    tau, groups, m = plan.tau, plan.groups, len(profiles)
-    if tau <= 0:
-        raise ValueError("tau must be > 0")
+    tau, groups, m = tau_from(plan.eps, plan.alpha0), plan.groups, len(profiles)
     first = profiles[0]
     # group_of[k]: the group of bucket k, None when no group has its rounded
     # value; every bucket from len(group_of) up rounds past the largest group
@@ -66,6 +66,15 @@ def emit(
     group_of = [None]  # there is no bucket 0
     while (rp := rounded_value(len(group_of), tau)) <= largest:
         group_of.append(group_by_rp.get(rp))
+    # a group that no bucket maps to keeps its slots empty while its jobs
+    # fall to the small pile, far past the plan's bound
+    reached = set(group_of)
+    for g, (rp, _nk) in enumerate(groups):
+        if g not in reached:
+            raise ValueError(
+                f"plan group {g} (rp={rp}) is no rounded size floor((1+tau)^k) "
+                f"at the plan's tau={tau}, so no job can take its slots"
+            )
     table = power_table(tau, len(group_of))
     top = table[len(group_of) - 1]  # the p below it have a bucket in group_of
     rps = [rp for rp, _nk in groups]

@@ -39,7 +39,7 @@ from .model import (
     work_to_time,
 )
 from .partition import PartitionTuple, enumerate_partitions
-from .sketch import Sketch
+from .sketch import Sketch, tau_from
 
 ZERO = "Z"  # signature symbol for an empty machine (log of 0 is undefined)
 
@@ -108,8 +108,8 @@ def prune(frontier: dict, inv_log: float) -> dict:
 
 # the numbers, then the two lists
 _PLAN_KEYS = (
-    "V", "sigma_S_prime", "eps", "alpha0", "tau", "delta", "n",
-    "small_reservation", "groups", "counts",
+    "V", "sigma_S_prime", "eps", "alpha0", "n", "small_reservation", "groups",
+    "counts",
 )
 
 
@@ -121,8 +121,6 @@ class Plan:
     sigma_S_prime: float
     eps: float
     alpha0: float
-    tau: float
-    delta: float
     n: int
     small_reservation: float
     groups: tuple[tuple[int, int], ...]  # (rp, n_k), the sketch entries
@@ -152,8 +150,6 @@ class Plan:
             "sigma_S_prime": self.sigma_S_prime,
             "eps": self.eps,
             "alpha0": self.alpha0,
-            "tau": self.tau,
-            "delta": self.delta,
             "n": self.n,
             "small_reservation": self.small_reservation,
             "groups": [{"rp": rp, "n_k": nk} for rp, nk in self.groups],
@@ -164,15 +160,16 @@ class Plan:
     @classmethod
     def from_json(cls, text: str) -> "Plan":
         """Keys this format no longer uses (older files carry some, such as
-        `starts`) are ignored; a missing key, a value of the wrong JSON kind,
-        eps, alpha0, tau, delta or small_reservation out of range, or a
-        group's rp or n_k below 1 raises ValueError naming it."""
+        `starts`, `tau` and `delta`) are ignored; a missing key, a value of
+        the wrong JSON kind, eps, alpha0 or small_reservation out of range,
+        eps and alpha0 too small for tau_from, or a group's rp or n_k below 1
+        raises ValueError naming it."""
         obj = json.loads(text)
         require_keys(obj, _PLAN_KEYS, "plan JSON")
         require_numbers(obj, _PLAN_KEYS[:-2], "plan JSON")
         require_integers(obj, ("n",), "plan JSON")
         require_positive(obj, ("eps", "alpha0"), "plan JSON", 1.0)
-        require_positive(obj, ("tau", "delta"), "plan JSON")
+        tau_from(obj["eps"], obj["alpha0"])
         require_at_least(obj, ("small_reservation",), "plan JSON", 0)
         for g in require_list(obj["groups"], "plan JSON 'groups'"):
             require_keys(g, ("rp", "n_k"), "plan JSON group")
@@ -186,8 +183,6 @@ class Plan:
             sigma_S_prime=obj["sigma_S_prime"],
             eps=obj["eps"],
             alpha0=obj["alpha0"],
-            tau=obj["tau"],
-            delta=obj["delta"],
             n=int(obj["n"]),
             small_reservation=obj["small_reservation"],
             groups=tuple((int(g["rp"]), int(g["n_k"])) for g in obj["groups"]),
@@ -275,8 +270,6 @@ def plan(
         sigma_S_prime=sigma_sp,
         eps=eps,
         alpha0=alpha0,
-        tau=sketch.tau,
-        delta=delta,
         n=sketch.n,
         small_reservation=eps * sketch.p_max / (3.0 * sketch.n),
         groups=sketch.entries,

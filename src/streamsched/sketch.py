@@ -89,6 +89,19 @@ def bucket_index(p: int, tau: float) -> int:
     return bisect_right(table, float(p) if p < FLOAT_EXACT else p)
 
 
+def tau_from(eps: float, alpha0: float) -> float:
+    """The bucket ratio's excess tau = eps*alpha0/15. Raises ValueError naming
+    eps and alpha0 when 1 + tau rounds to 1, since no power of (1+tau) could
+    then pass a processing time."""
+    tau = eps * alpha0 / 15.0
+    if not 1.0 + tau > 1.0:
+        raise ValueError(
+            f"eps={eps} and alpha0={alpha0} give tau={tau}, so small that "
+            "1 + tau rounds to 1"
+        )
+    return tau
+
+
 def rounded_value(k: int, tau: float) -> int:
     """floor((1+tau)^k), the rounded processing time of bucket k."""
     if k < 1:
@@ -97,7 +110,7 @@ def rounded_value(k: int, tau: float) -> int:
 
 
 # the numbers, then the list of entries
-_SKETCH_KEYS = ("eps", "alpha0", "tau", "n", "p_max", "entries")
+_SKETCH_KEYS = ("eps", "alpha0", "n", "p_max", "entries")
 
 
 @dataclass(frozen=True)
@@ -107,15 +120,17 @@ class Sketch:
     entries: tuple[tuple[int, int], ...]  # (rp, count), ascending by rp
     n: int
     p_max: int
-    tau: float
     eps: float
     alpha0: float
+
+    @property
+    def tau(self) -> float:
+        return tau_from(self.eps, self.alpha0)
 
     def to_json(self) -> str:
         obj = {
             "eps": self.eps,
             "alpha0": self.alpha0,
-            "tau": self.tau,
             "n": self.n,
             "p_max": self.p_max,
             "entries": [{"rp": rp, "count": c} for rp, c in self.entries],
@@ -124,27 +139,32 @@ class Sketch:
 
     @classmethod
     def from_json(cls, text: str) -> "Sketch":
-        """Keys this format no longer uses (older files carry two) are ignored;
-        a missing key, a value of the wrong JSON kind, eps, alpha0 or tau out
-        of range, or an entry's rp or count below 1 raises ValueError naming
-        it."""
+        """Keys this format no longer uses (older files carry some, such as
+        `tau`) are ignored; a missing key, a value of the wrong JSON kind, eps
+        or alpha0 out of range or too small for tau_from, n or p_max below 1,
+        an entry's rp or count below 1, or counts that sum past n raise
+        ValueError naming it."""
         obj = json.loads(text)
         require_keys(obj, _SKETCH_KEYS, "sketch JSON")
         require_numbers(obj, _SKETCH_KEYS[:-1], "sketch JSON")
         require_integers(obj, ("n", "p_max"), "sketch JSON")
         require_positive(obj, ("eps", "alpha0"), "sketch JSON", 1.0)
-        require_positive(obj, ("tau",), "sketch JSON")
+        tau_from(obj["eps"], obj["alpha0"])
+        require_at_least(obj, ("n", "p_max"), "sketch JSON", 1)
         for e in require_list(obj["entries"], "sketch JSON 'entries'"):
             require_keys(e, ("rp", "count"), "sketch JSON entry")
             require_integers(e, ("rp", "count"), "sketch JSON entry")
             require_at_least(e, ("rp", "count"), "sketch JSON entry", 1)
+        n = int(obj["n"])
+        total = sum(int(e["count"]) for e in obj["entries"])
+        if total > n:
+            raise ValueError(f"sketch JSON: entries hold {total} jobs, more than n={n}")
         return cls(
             entries=tuple(
                 sorted((int(e["rp"]), int(e["count"])) for e in obj["entries"])
             ),
-            n=int(obj["n"]),
+            n=n,
             p_max=int(obj["p_max"]),
-            tau=obj["tau"],
             eps=obj["eps"],
             alpha0=obj["alpha0"],
         )
@@ -169,7 +189,7 @@ class SketchBuilder:
             raise ValueError("eps must be in (0, 1]")
         if not 0.0 < self.alpha0 <= 1.0:
             raise ValueError("alpha0 must be in (0, 1]")
-        self.tau = self.eps * self.alpha0 / 15.0
+        self.tau = tau_from(self.eps, self.alpha0)
         _power(self.tau, 1)  # prime the table
         self.n_cur = 0
         self.p_curMax = 0
@@ -297,7 +317,6 @@ class SketchBuilder:
             ),
             n=n,
             p_max=p_max,
-            tau=self.tau,
             eps=self.eps,
             alpha0=self.alpha0,
         )

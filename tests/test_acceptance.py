@@ -23,7 +23,7 @@ from streamsched.model import (
 )
 from streamsched.oracle import brute_force_opt
 from streamsched.partition import enumerate_partitions
-from streamsched.planner import _state_bound, plan, signature
+from streamsched.planner import _state_bound, delta_from, plan, signature
 from streamsched.sketch import (
     KnowledgeMode,
     SketchBuilder,
@@ -214,8 +214,9 @@ def test_criterion_6_prune_soundness(instance_batch):
     for r in runs:
         sk, pl = r["sketch"], r["plan"]
         m = len(r["inst"].machines)
-        bound = _state_bound(sk, r["alpha0"], pl.delta, m)
-        inv_log = 1.0 / math.log1p(pl.delta)
+        delta = delta_from(sk, pl.eps, pl.alpha0)
+        bound = _state_bound(sk, r["alpha0"], delta, m)
+        inv_log = 1.0 / math.log1p(delta)
         for frontier in r["trace"]:
             prune_calls += 1
             sigs = [signature(w, inv_log) for w in frontier]

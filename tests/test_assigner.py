@@ -17,7 +17,9 @@ from streamsched.model import (
 )
 from streamsched.oracle import brute_force_opt
 from streamsched.planner import Plan, plan
-from streamsched.sketch import KnowledgeMode, bucket_index, rounded_value, sketch_stream
+from streamsched.sketch import (
+    KnowledgeMode, bucket_index, rounded_value, sketch_stream, tau_from,
+)
 
 
 def build_plan(stream, profiles, eps=1.0, alpha0=1.0, mode=None):
@@ -29,7 +31,7 @@ def reference_slots(pl, stream, profiles):
     """Each job's slot by the rule `emit` documents, from bucket_index and
     rounded_value: (profile, work coordinate at the slot's start) for a
     large job, None for a small one."""
-    tau, groups = pl.tau, pl.groups
+    tau, groups = tau_from(pl.eps, pl.alpha0), pl.groups
     group_of = {rp: g for g, (rp, _nk) in enumerate(groups)}
     remaining = [list(row) for row in pl.counts]
     cursors = []
@@ -229,8 +231,8 @@ class TestEmit:
 def hand_plan(groups, counts, n, small_reservation=0.0):
     """A plan pass 2 can replay, without running pass 1 or the planner."""
     return Plan(
-        V=0.0, sigma_S_prime=0.0, eps=1.0, alpha0=0.5, tau=1 / 30, delta=0.01,
-        n=n, small_reservation=small_reservation, groups=groups, counts=counts,
+        V=0.0, sigma_S_prime=0.0, eps=1.0, alpha0=0.5, n=n,
+        small_reservation=small_reservation, groups=groups, counts=counts,
     )
 
 

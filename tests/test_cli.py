@@ -353,6 +353,33 @@ class TestSubcommands:
         assert err.count("\n") == 1  # one line, no traceback
         assert re.search(message, err)
 
+    def test_plan_with_edited_eps_rejected(self, tmp_path, capsys):
+        # at eps 0.7, 68 of the 130 groups are no rounded size; replayed,
+        # their jobs would go to the small pile and sigma would reach 2.67 V
+        jobs = tmp_path / "jobs.txt"
+        profile = tmp_path / "profile.json"
+        assert main(
+            [
+                "gen", "--jobs", "2000", "--machines", "1", "--max-p", "1000",
+                "--alpha0", "0.5", "--seed", "3",
+                "--jobs-out", str(jobs), "--profile-out", str(profile),
+            ]
+        ) == 0
+        plan_out = sketch_and_plan(tmp_path, jobs, profile, alpha0="0.5")
+        obj = json.loads(plan_out.read_text())
+        assert len(obj["groups"]) == 130
+        plan_out.write_text(json.dumps({**obj, "eps": 0.7}))
+        rc = main(
+            [
+                "schedule", "--plan", str(plan_out), "--jobs", str(jobs),
+                "--profile", str(profile), "--out", str(tmp_path / "s.csv"),
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "error: plan group 42 (rp=58) is no rounded size"
+        )
+
     def test_older_plan_schedules_like_a_fresh_one(self, tmp_path):
         jobs = tmp_path / "jobs.txt"
         write_jobs(jobs, OLDER_JOBS)
@@ -478,11 +505,6 @@ MALFORMED = {
         {"plan": json_with(groups=[{"rp": None, "n_k": 2}, {"rp": 2, "n_k": 1}])},
         "plan JSON group 'rp' must be a number, got null",
     ),
-    "plan-text-tau": (
-        "schedule",
-        {"plan": json_with(tau="0.1")},
-        "plan JSON 'tau' must be a number, got \"0.1\"",
-    ),
     "profile-fractional-machine": (
         "eval",
         {"profile": f'[{{"machine": 1.9, "pieces": [{PIECE}]}}]'},
@@ -533,16 +555,6 @@ MALFORMED = {
         {"plan": json_with(counts=[[math.nan, 1]])},
         "plan JSON 'counts' row 0 entry 0 must be an integer, got NaN",
     ),
-    "plan-zero-tau": (
-        "schedule",
-        {"plan": json_with(tau=0.0)},
-        "tau must be > 0",
-    ),
-    "plan-infinite-tau": (
-        "schedule",
-        {"plan": json_with(tau=math.inf)},
-        "plan JSON: tau must be > 0 and finite, got Infinity",
-    ),
     "plan-alpha0-above-one": (
         "schedule",
         {"plan": json_with(alpha0=7)},
@@ -582,6 +594,38 @@ MALFORMED = {
         "approximate",
         {"sketch": json_with(entries=[{"rp": 1, "count": 0}, {"rp": 2, "count": 1}])},
         "sketch JSON entry: count must be >= 1 and finite, got 0",
+    ),
+    "sketch-zero-n": (
+        "approximate",
+        {"sketch": json_with(n=0)},
+        "sketch JSON: n must be >= 1 and finite, got 0",
+    ),
+    "sketch-negative-p-max": (
+        "approximate",
+        {"sketch": json_with(p_max=-7)},
+        "sketch JSON: p_max must be >= 1 and finite, got -7",
+    ),
+    "sketch-entries-over-n": (
+        "approximate",
+        {"sketch": json_with(n=1)},
+        "sketch JSON: entries hold 3 jobs, more than n=1",
+    ),
+    # 1 + tau rounds to 1, so no power table of (1+tau) passes a job
+    "sketch-tiny-eps": (
+        "approximate",
+        {"sketch": json_with(eps=1e-300)},
+        "eps=1e-300 and alpha0=1.0 give tau=",
+    ),
+    "plan-tiny-eps": (
+        "schedule",
+        {"plan": json_with(eps=1e-300)},
+        "eps=1e-300 and alpha0=1.0 give tau=",
+    ),
+    # 21 is no floor((1 + 1/15)^k), so no job could take the group's slot
+    "plan-unreachable-group": (
+        "schedule",
+        {"plan": json_with(groups=[{"rp": 1, "n_k": 2}, {"rp": 21, "n_k": 1}])},
+        "plan group 1 (rp=21) is no rounded size",
     ),
     "schedule-without-completion": (
         "eval",

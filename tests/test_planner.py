@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -58,8 +59,7 @@ class TestDelta:
     def test_empty(self):
         sk = make_sketch([1])
         empty = sk.__class__(
-            entries=(), n=1, p_max=1, tau=sk.tau,
-            eps=1.0, alpha0=1.0,
+            entries=(), n=1, p_max=1, eps=1.0, alpha0=1.0,
         )
         with pytest.raises(EmptySketchError):
             delta_from(empty, 1.0, 1.0)
@@ -160,8 +160,8 @@ class TestPlan:
         stream = [rng.randint(1, 20) for _ in range(7)]
         sk = sketch_stream(stream, 0.5, 0.5)
         trace = []
-        pl = plan(sk, profiles, 0.5, 0.5, trace=trace)
-        inv_log = 1.0 / math.log1p(pl.delta)
+        plan(sk, profiles, 0.5, 0.5, trace=trace)
+        inv_log = 1.0 / math.log1p(delta_from(sk, 0.5, 0.5))
         for frontier in trace:
             sigs = [signature(w, inv_log) for w in frontier]
             assert len(sigs) == len(set(sigs))
@@ -202,6 +202,7 @@ class TestPlan:
         pl = plan(sk, (unit_profile,), 1.0, 1.0)
         back = Plan.from_json(pl.to_json())
         assert back.to_json() == pl.to_json()
+        assert not {"tau", "delta"} & json.loads(pl.to_json()).keys()
 
     def test_older_format_loads(self, unit_profile):
         # written while plans still carried k, p_max, p_minL_final and
@@ -279,9 +280,10 @@ class TestActivePrune:
         sk = sketch_stream(stream, eps, alpha0)
         trace = []
         pl = plan(sk, inst.machines, eps, alpha0, trace=trace)
-        assert sum(rp * c for rp, c in sk.entries) * pl.delta > 1
-        bound = planner._state_bound(sk, alpha0, pl.delta, len(inst.machines))
-        inv_log = 1.0 / math.log1p(pl.delta)
+        delta = delta_from(sk, eps, alpha0)
+        assert sum(rp * c for rp, c in sk.entries) * delta > 1
+        bound = planner._state_bound(sk, alpha0, delta, len(inst.machines))
+        inv_log = 1.0 / math.log1p(delta)
         for frontier in trace:
             sigs = {signature(w, inv_log) for w in frontier}
             assert len(sigs) == len(frontier) <= bound
@@ -346,7 +348,7 @@ class TestPrefixWorkBound:
         sk = sketch_stream(stream, 1.0, 0.5)
         trace = []
         pl = plan(sk, profiles, 1.0, 0.5, trace=trace)
-        delta = pl.delta
+        delta = delta_from(sk, 1.0, 0.5)
 
         expanded = []  # (group position, rp) per sketch job
         for g, (rp, cnt) in enumerate(sk.entries):

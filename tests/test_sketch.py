@@ -1,3 +1,4 @@
+import json
 import random
 import re
 from collections import Counter
@@ -63,6 +64,12 @@ class TestObserve:
     def test_parameters_outside_unit_interval_rejected(self, eps, alpha0, name):
         with pytest.raises(ValueError, match=rf"^{name} must be in \(0, 1\]$"):
             SketchBuilder(eps, alpha0)
+
+    def test_tau_that_vanishes_beside_one_rejected(self):
+        # the power table could never pass a job; none is fed, so the test
+        # ends even where the check is missing
+        with pytest.raises(ValueError, match=r"^eps=1e-300 and alpha0=0.5 give tau="):
+            SketchBuilder(1e-300, 0.5)
 
     def test_small_stream(self):
         b = SketchBuilder(1.0, 1.0)
@@ -262,6 +269,13 @@ class TestSerialization:
         assert back.entries == sk.entries
         assert back.n == sk.n and back.p_max == sk.p_max
         assert back.to_json() == sk.to_json()
+
+    def test_tau_computed_not_stored(self):
+        b = SketchBuilder(0.7, 0.3)
+        b.observe_all([5, 9, 200, 4000])
+        text = b.finalize().to_json()
+        assert "tau" not in json.loads(text)
+        assert Sketch.from_json(text).tau == b.tau == 0.7 * 0.3 / 15.0
 
     def test_older_format_loads(self):
         # written before p_minL_stream was dropped from the format
