@@ -4,7 +4,10 @@ Each incoming job is matched to a remaining (machine, group) slot by rounded
 processing time; when a bucket's slots are exhausted (or the job rounds below
 every group) the job joins the small pile on machine 1. Working space is an
 m-by-mu table of first-slot work coordinates, one slot cursor per group, a
-map from the buckets seen to their groups and the single in-flight job.
+map from the buckets seen to their groups and the single in-flight job. The
+schedule itself is held as it is emitted, in the typed columns of a
+Schedule: each job appends its machine, start and completion, 24 bytes, and
+the job ids 1..n, 8 bytes each, are filled in when the stream ends.
 
 Large jobs start exactly at their slot time. The slots are laid out on the
 profiles pass 2 is given, and a job's true length never exceeds the rounded
@@ -16,13 +19,14 @@ the end of its slot timeline instead.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .model import MachineProfile, PlacedJob, Schedule, work_to_time
+from .model import MachineProfile, Schedule, work_to_time
 from .planner import Plan
-from .sketch import FLOAT_EXACT, power_table, rounded_value, tau_from
+from .sketch import FLOAT_EXACT, bucket_groups, power_table, tau_from
 
 
 class StreamMismatchError(Exception):
@@ -59,25 +63,13 @@ def emit(
         )
     tau, groups, m = tau_from(plan.eps, plan.alpha0), plan.groups, len(profiles)
     first = profiles[0]
-    # group_of[k]: the group of bucket k, None when no group has its rounded
-    # value; every bucket from len(group_of) up rounds past the largest group
-    group_by_rp = {rp: g for g, (rp, _nk) in enumerate(groups)}
-    largest = max(group_by_rp, default=0)
-    group_of = [None]  # there is no bucket 0
-    while (rp := rounded_value(len(group_of), tau)) <= largest:
-        group_of.append(group_by_rp.get(rp))
-    # a group that no bucket maps to keeps its slots empty while its jobs
-    # fall to the small pile, far past the plan's bound
-    reached = set(group_of)
-    for g, (rp, _nk) in enumerate(groups):
-        if g not in reached:
-            raise ValueError(
-                f"plan group {g} (rp={rp}) is no rounded size floor((1+tau)^k) "
-                f"at the plan's tau={tau}, so no job can take its slots"
-            )
+    rps = [rp for rp, _nk in groups]
+    # a group that no bucket maps to would keep its slots empty while its
+    # jobs fall to the small pile, far past the plan's bound; bucket_groups
+    # rejects it
+    group_of = bucket_groups(rps, tau, "plan group")
     table = power_table(tau, len(group_of))
     top = table[len(group_of) - 1]  # the p below it have a bucket in group_of
-    rps = [rp for rp, _nk in groups]
     # slot_work[i][g]: the work machine i has delivered when its first slot
     # of group g starts. Groups run back to back in size order, machine 1's
     # after the small-job reservation at its head; the extra last entry is
@@ -115,9 +107,11 @@ def emit(
     head_limit = plan.small_reservation if any(plan.counts[0]) else math.inf
     tail_cursor = first.time_at(slot_work[0][-1])
     small_placed = bucket_overflow = reservation_overflow = 0
-    placements = []
-    place = placements.append
-    new = tuple.__new__  # PlacedJob(...) without its Python-level __new__
+    # the schedule's columns but job_ids, which is 1..n; see Schedule
+    out_machines, out_starts, out_completions = array("q"), array("d"), array("d")
+    put_machine, put_start, put_completion = (
+        out_machines.append, out_starts.append, out_completions.append
+    )
     job_id = 0
     for job_id, p in enumerate(stream, start=1):
         if p < 1:
@@ -161,8 +155,14 @@ def emit(
                 cursor[g] = (w + rp, j, left - 1, rp, i, tab)
             else:  # machine i has used up its slots of group g
                 cursor[g] = load(g, i + 1)
-        place(new(PlacedJob, (job_id, profile.machine_index, start, completion)))
+        put_machine(profile.machine_index)
+        put_start(start)
+        put_completion(completion)
     if job_id != plan.n:
         raise StreamMismatchError(f"pass 2 saw {job_id} jobs, plan expects {plan.n}")
     report = EmitReport(small_placed, bucket_overflow, reservation_overflow)
-    return Schedule(tuple(placements)), report
+    job_ids = array("q", range(1, job_id + 1))
+    schedule = Schedule.from_columns(
+        job_ids, out_machines, out_starts, out_completions
+    )
+    return schedule, report

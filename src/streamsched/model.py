@@ -9,9 +9,11 @@ import csv
 import json
 import math
 import random
+from array import array
 from bisect import bisect_right
 from collections import namedtuple
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 from operator import itemgetter
 
 REL_TOL = 1e-9
@@ -175,13 +177,81 @@ def random_instance(
     return Instance(machines, jobs, alpha0)
 
 
-# a tuple, so that building one per job and unpacking it are cheap
+# one placement, as Schedule.placements hands it out; a tuple, so that it
+# unpacks like one and compares equal to a plain tuple with its values
 PlacedJob = namedtuple("PlacedJob", "job_id machine_index start completion")
 
+# every value an array('q') column can hold
+INT64 = range(-(2**63), 2**63)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Schedule:
-    placements: tuple[PlacedJob, ...]
+    """Placements held as four typed columns, 32 bytes per job: row k places
+    job job_ids[k] on machine machines[k] over [starts[k], completions[k]).
+
+    Schedule(placements) takes an iterable of PlacedJobs or 4-tuples, and
+    Schedule.from_columns the columns themselves. A value that an 'q' column
+    cannot hold raises OverflowError; the file readers check for it first.
+    """
+
+    job_ids: array  # 'q'
+    machines: array  # 'q'
+    starts: array  # 'd'
+    completions: array  # 'd'
+
+    def __init__(self, placements=()):
+        columns = job_ids, machines, starts, completions = (
+            array("q"), array("q"), array("d"), array("d")
+        )
+        for job_id, machine, start, completion in placements:
+            job_ids.append(job_id)
+            machines.append(machine)
+            starts.append(start)
+            completions.append(completion)
+        self._set(columns)
+
+    @classmethod
+    def from_columns(cls, job_ids, machines, starts, completions) -> "Schedule":
+        """A schedule holding the given arrays, not copies; raises ValueError
+        unless they have one length."""
+        if not len(job_ids) == len(machines) == len(starts) == len(completions):
+            raise ValueError("schedule columns differ in length")
+        schedule = object.__new__(cls)
+        schedule._set((job_ids, machines, starts, completions))
+        return schedule
+
+    def _set(self, columns) -> None:
+        for field, column in zip(fields(self), columns):
+            object.__setattr__(self, field.name, column)
+
+    @property
+    def placements(self) -> "Placements":
+        return Placements(self)
+
+
+class Placements(Sequence):
+    """Read-only sequence view of a schedule's rows: len() costs O(1), and
+    each item is a PlacedJob built when it is read."""
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, schedule: Schedule):
+        self._columns = (
+            schedule.job_ids, schedule.machines, schedule.starts,
+            schedule.completions,
+        )
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[i] for i in range(*k.indices(len(self))))
+        return PlacedJob._make(column[k] for column in self._columns)
+
+    def __iter__(self):
+        return map(PlacedJob._make, zip(*self._columns))
 
 
 def work_to_time(profile: MachineProfile, start: float, work: float) -> float:
@@ -282,7 +352,9 @@ def evaluate_schedule(instance: Instance, schedule: Schedule) -> float:
     # machines in the order of their first placement, the order of the sum
     per_machine: dict[int, list[tuple[float, float, int, float]]] = {}
     inf = math.inf
-    for job_id, mi, start, completion in schedule.placements:
+    for job_id, mi, start, completion in zip(
+        schedule.job_ids, schedule.machines, schedule.starts, schedule.completions
+    ):
         p = unplaced.pop(job_id, None)
         if p is None:
             if any(j.id == job_id for j in instance.jobs):
@@ -446,6 +518,10 @@ def profiles_from_obj(raw: list[dict]) -> tuple[MachineProfile, ...]:
         require_keys(entry, ("machine", "pieces"), "profile JSON machine entry")
         require_integers(entry, ("machine",), "profile JSON machine entry")
         machine, pieces = int(entry["machine"]), entry["pieces"]
+        if machine not in INT64:
+            raise ValueError(
+                f"profile JSON machine {machine} is outside the signed 64-bit range"
+            )
         if not isinstance(pieces, list) or not pieces:
             raise ValueError(
                 f"profile JSON machine {machine} needs a non-empty list of pieces"
@@ -492,27 +568,33 @@ def write_schedule_csv(schedule: Schedule, path: str) -> None:
         writer = csv.writer(fh)
         writer.writerow(["job_id", "machine", "start", "completion"])
         writer.writerows(
-            (pl.job_id, pl.machine_index, pl.start, pl.completion)
-            for pl in schedule.placements
+            zip(
+                schedule.job_ids, schedule.machines, schedule.starts,
+                schedule.completions,
+            )
         )
 
 
 def read_schedule_csv(path: str) -> Schedule:
-    """Raises ValueError naming the first missing column; a short row reads
-    its missing fields as empty, which float() and int() reject."""
-    placements = []
+    """Raises ValueError naming the first missing column, or naming the row
+    and the column of a job id or machine outside the signed 64-bit range; a
+    short row reads its missing fields as empty, which float() and int()
+    reject."""
+
+    def placements(reader):
+        for k, row in enumerate(reader, start=1):
+            job_id, machine = int(row["job_id"]), int(row["machine"])
+            if job_id not in INT64 or machine not in INT64:
+                bad = "job_id" if job_id not in INT64 else "machine"
+                raise ValueError(
+                    f"schedule CSV row {k}: {bad} {row[bad].strip()} is outside "
+                    "the signed 64-bit range"
+                )
+            yield job_id, machine, float(row["start"]), float(row["completion"])
+
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh, restval="")
         for column in ("job_id", "machine", "start", "completion"):
             if column not in (reader.fieldnames or ()):
                 raise ValueError(f"schedule CSV has no {column!r} column")
-        for row in reader:
-            placements.append(
-                PlacedJob(
-                    int(row["job_id"]),
-                    int(row["machine"]),
-                    float(row["start"]),
-                    float(row["completion"]),
-                )
-            )
-    return Schedule(tuple(placements))
+        return Schedule(placements(reader))

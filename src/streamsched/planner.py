@@ -39,7 +39,7 @@ from .model import (
     work_to_time,
 )
 from .partition import PartitionTuple, enumerate_partitions
-from .sketch import Sketch, tau_from
+from .sketch import Sketch, bucket_groups, tau_from
 
 ZERO = "Z"  # signature symbol for an empty machine (log of 0 is undefined)
 
@@ -163,13 +163,14 @@ class Plan:
         `starts`, `tau` and `delta`) are ignored; a missing key, a value of
         the wrong JSON kind, eps, alpha0 or small_reservation out of range,
         eps and alpha0 too small for tau_from, or a group's rp or n_k below 1
-        raises ValueError naming it."""
+        raises ValueError naming it. So does a group whose rp is no rounded
+        size at the plan's tau, or at or past RP_LIMIT (see bucket_groups)."""
         obj = json.loads(text)
         require_keys(obj, _PLAN_KEYS, "plan JSON")
         require_numbers(obj, _PLAN_KEYS[:-2], "plan JSON")
         require_integers(obj, ("n",), "plan JSON")
         require_positive(obj, ("eps", "alpha0"), "plan JSON", 1.0)
-        tau_from(obj["eps"], obj["alpha0"])
+        tau = tau_from(obj["eps"], obj["alpha0"])
         require_at_least(obj, ("small_reservation",), "plan JSON", 0)
         for g in require_list(obj["groups"], "plan JSON 'groups'"):
             require_keys(g, ("rp", "n_k"), "plan JSON group")
@@ -178,6 +179,8 @@ class Plan:
         for i, row in enumerate(require_list(obj["counts"], "plan JSON 'counts'")):
             require_list(row, f"plan JSON 'counts' row {i}")
             require_integers(row, range(len(row)), f"plan JSON 'counts' row {i} entry")
+        groups = tuple((int(g["rp"]), int(g["n_k"])) for g in obj["groups"])
+        bucket_groups([rp for rp, _nk in groups], tau, "plan group")
         return cls(
             V=obj["V"],
             sigma_S_prime=obj["sigma_S_prime"],
@@ -185,7 +188,7 @@ class Plan:
             alpha0=obj["alpha0"],
             n=int(obj["n"]),
             small_reservation=obj["small_reservation"],
-            groups=tuple((int(g["rp"]), int(g["n_k"])) for g in obj["groups"]),
+            groups=groups,
             counts=tuple(tuple(int(c) for c in row) for row in obj["counts"]),
         )
 

@@ -109,6 +109,44 @@ def rounded_value(k: int, tau: float) -> int:
     return int(math.floor(_power(tau, k)))
 
 
+# tau = eps*alpha0/15 is at most 1/15, so the first power of (1+tau) past
+# an rp below this is still a finite float
+RP_LIMIT = 2**1023
+
+
+def bucket_groups(rps, tau: float, what: str) -> list:
+    """group_of[k]: the index in rps of the rp that bucket k rounds to,
+    floor((1+tau)^k), or None when none does; every bucket from
+    len(group_of) up rounds past max(rps).
+
+    Raises ValueError naming `what` with the index and rp of the first rp
+    at or past RP_LIMIT, or else of the first that no bucket maps to: one
+    that is no rounded size at tau, since no job would round to it, or one
+    that another index repeats."""
+    for g, rp in enumerate(rps):
+        if rp >= RP_LIMIT:
+            raise ValueError(
+                f"{what} {g}: rp must be below 2**1023, got an integer of "
+                f"{len(str(rp))} digits"
+            )
+    index_of = {rp: g for g, rp in enumerate(rps)}
+    largest = max(index_of, default=0)
+    group_of = [None]  # there is no bucket 0
+    while (rp := rounded_value(len(group_of), tau)) <= largest:
+        group_of.append(index_of.get(rp))
+    reached = set(group_of)
+    for g, rp in enumerate(rps):
+        if g in reached:
+            continue
+        if index_of[rp] != g:
+            raise ValueError(f"{what} {g} (rp={rp}) repeats {what} {index_of[rp]}")
+        raise ValueError(
+            f"{what} {g} (rp={rp}) is no rounded size floor((1+tau)^k) at "
+            f"tau={tau}, so no job rounds to it"
+        )
+    return group_of
+
+
 # the numbers, then the list of entries
 _SKETCH_KEYS = ("eps", "alpha0", "n", "p_max", "entries")
 
@@ -143,26 +181,27 @@ class Sketch:
         `tau`) are ignored; a missing key, a value of the wrong JSON kind, eps
         or alpha0 out of range or too small for tau_from, n or p_max below 1,
         an entry's rp or count below 1, or counts that sum past n raise
-        ValueError naming it."""
+        ValueError naming it. So does an entry whose rp is no rounded size
+        at the sketch's tau, or at or past RP_LIMIT (see bucket_groups)."""
         obj = json.loads(text)
         require_keys(obj, _SKETCH_KEYS, "sketch JSON")
         require_numbers(obj, _SKETCH_KEYS[:-1], "sketch JSON")
         require_integers(obj, ("n", "p_max"), "sketch JSON")
         require_positive(obj, ("eps", "alpha0"), "sketch JSON", 1.0)
-        tau_from(obj["eps"], obj["alpha0"])
+        tau = tau_from(obj["eps"], obj["alpha0"])
         require_at_least(obj, ("n", "p_max"), "sketch JSON", 1)
         for e in require_list(obj["entries"], "sketch JSON 'entries'"):
             require_keys(e, ("rp", "count"), "sketch JSON entry")
             require_integers(e, ("rp", "count"), "sketch JSON entry")
             require_at_least(e, ("rp", "count"), "sketch JSON entry", 1)
         n = int(obj["n"])
-        total = sum(int(e["count"]) for e in obj["entries"])
+        entries = [(int(e["rp"]), int(e["count"])) for e in obj["entries"]]
+        total = sum(count for _rp, count in entries)
         if total > n:
             raise ValueError(f"sketch JSON: entries hold {total} jobs, more than n={n}")
+        bucket_groups([rp for rp, _count in entries], tau, "sketch JSON entry")
         return cls(
-            entries=tuple(
-                sorted((int(e["rp"]), int(e["count"])) for e in obj["entries"])
-            ),
+            entries=tuple(sorted(entries)),
             n=n,
             p_max=int(obj["p_max"]),
             eps=obj["eps"],

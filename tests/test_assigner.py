@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from conftest import boundary_streams, make_profile
@@ -290,3 +291,21 @@ class TestThresholdBoundary:
         sigma = evaluate_schedule(inst, sched)
         opt = brute_force_opt(inst).opt_value
         assert sigma <= (1 + eps) * opt * (1 + 1e-9)
+
+
+def test_emit_holds_at_most_40_bytes_per_job():
+    # the schedule's four columns take 32 bytes per job; the peak counts
+    # them, their growth and everything else emit allocates
+    rng = random.Random(3)
+    n = 2 * 10**5
+    profiles = (random_profile(rng, 0.5),)
+    stream = [rng.randint(1, 10**6) for _ in range(n)]
+    pl = build_plan(stream, profiles, 1.0, 0.5)
+    tracemalloc.start()
+    try:
+        schedule, _report = emit(pl, stream, profiles)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(schedule.placements) == n
+    assert peak <= 40 * n, f"{peak / n:.1f} bytes per job"

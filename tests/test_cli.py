@@ -627,6 +627,44 @@ MALFORMED = {
         {"plan": json_with(groups=[{"rp": 1, "n_k": 2}, {"rp": 21, "n_k": 1}])},
         "plan group 1 (rp=21) is no rounded size",
     ),
+    # past the float range, where no power of (1+tau) reaches
+    "sketch-huge-rp": (
+        "approximate",
+        {"sketch": json_with(entries=[{"rp": 1, "count": 2}, {"rp": 10**400, "count": 1}])},
+        "sketch JSON entry 1: rp must be below 2**1023, got an integer of 401 digits",
+    ),
+    "plan-huge-rp": (
+        "schedule",
+        {"plan": json_with(groups=[{"rp": 1, "n_k": 2}, {"rp": 10**400, "n_k": 1}])},
+        "plan group 1: rp must be below 2**1023, got an integer of 401 digits",
+    ),
+    # rp 2 edited to 21, no floor((1 + 1/15)^k): the sketch entry is named
+    # before a plan is made of it
+    "sketch-unrounded-rp": (
+        "approximate",
+        {"sketch": json_with(entries=[{"rp": 1, "count": 2}, {"rp": 21, "count": 1}])},
+        "sketch JSON entry 1 (rp=21) is no rounded size",
+    ),
+    "sketch-repeated-rp": (
+        "approximate",
+        {"sketch": json_with(entries=[{"rp": 2, "count": 2}, {"rp": 2, "count": 1}])},
+        "sketch JSON entry 0 (rp=2) repeats sketch JSON entry 1",
+    ),
+    "profile-machine-past-int64": (
+        "schedule",
+        {"profile": f'[{{"machine": {2**63}, "pieces": [{PIECE}]}}]'},
+        f"profile JSON machine {2**63} is outside the signed 64-bit range",
+    ),
+    "schedule-job-id-past-int64": (
+        "eval",
+        {"schedule": f"job_id,machine,start,completion\n1,1,0.0,1.0\n{2**63},1,1.0,2.0\n"},
+        f"schedule CSV row 2: job_id {2**63} is outside the signed 64-bit range",
+    ),
+    "schedule-machine-past-int64": (
+        "eval",
+        {"schedule": f"job_id,machine,start,completion\n1,{-2**63 - 1},0.0,1.0\n"},
+        f"schedule CSV row 1: machine {-2**63 - 1} is outside the signed 64-bit",
+    ),
     "schedule-without-completion": (
         "eval",
         {"schedule": "job_id,machine,start\n1,1,0.0\n2,1,1.0\n3,1,2.0\n"},

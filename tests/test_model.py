@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from bisect import bisect_right
 from operator import itemgetter
 
@@ -19,6 +20,7 @@ from streamsched.model import (
     WorkMismatchError,
     evaluate_schedule,
     flat_profile,
+    profiles_from_obj,
     random_profile,
     read_schedule_csv,
     run_batch,
@@ -305,6 +307,78 @@ class TestScheduleCsv:
         sigma = sum(placed.completion for placed in schedule.placements)
         inst = Instance(profiles, jobs, 0.5)
         assert evaluate_schedule(inst, back) == pytest.approx(sigma)
+
+
+    def test_rejects_ids_outside_int64(self, tmp_path):
+        path = tmp_path / "schedule.csv"
+        header = "job_id,machine,start,completion\n"
+        path.write_text(header + f"1,1,0.0,1.0\n{2**63},1,1.0,2.0\n")
+        with pytest.raises(ValueError, match=f"row 2: job_id {2**63} is outside"):
+            read_schedule_csv(str(path))
+        path.write_text(header + f"1,{-2**63 - 1},0.0,1.0\n")
+        with pytest.raises(ValueError, match=f"row 1: machine {-2**63 - 1} is"):
+            read_schedule_csv(str(path))
+        path.write_text(header + f"{2**63 - 1},{-2**63},0.0,1.0\n")
+        back = read_schedule_csv(str(path))
+        assert list(back.placements) == [(2**63 - 1, -2**63, 0.0, 1.0)]
+
+
+class TestSchedule:
+    ROWS = [(1, 2, 0.0, 1.5), PlacedJob(3, 1, 0.5, 2.0), (2, 2, 1.5, 4.0)]
+
+    def test_columns_and_view(self):
+        schedule = Schedule(self.ROWS)
+        assert schedule.job_ids.typecode == schedule.machines.typecode == "q"
+        assert schedule.starts.typecode == schedule.completions.typecode == "d"
+        assert list(schedule.job_ids) == [1, 3, 2]
+        view = schedule.placements
+        assert len(view) == 3
+        assert all(type(pl) is PlacedJob for pl in view)
+        assert list(view) == self.ROWS
+        assert view[1].completion == 2.0 and view[-1].job_id == 2
+        assert view[1:] == tuple(self.ROWS[1:])
+        with pytest.raises(IndexError):
+            view[3]
+
+    def test_equality_and_from_columns(self):
+        schedule = Schedule(self.ROWS)
+        same = Schedule.from_columns(
+            schedule.job_ids, schedule.machines, schedule.starts,
+            schedule.completions,
+        )
+        assert same == schedule == Schedule(iter(self.ROWS))
+        assert Schedule(self.ROWS[:2]) != schedule
+        assert Schedule() == Schedule([]) and len(Schedule().placements) == 0
+        with pytest.raises(ValueError, match="differ in length"):
+            Schedule.from_columns(
+                schedule.job_ids, schedule.machines, schedule.starts,
+                schedule.completions[:2],
+            )
+
+    def test_view_builds_no_tuple_of_placements(self):
+        # the whole tuple would take about 10 MB
+        n = 10**5
+        schedule = Schedule((k, 1, float(k), k + 1.0) for k in range(1, n + 1))
+        tracemalloc.start()
+        try:
+            view = schedule.placements
+            size = len(view)
+            first, last = view[0], view[-1]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size == n
+        assert first == (1, 1, 1.0, 2.0) and last == (n, 1, float(n), n + 1.0)
+        assert peak < 10_000
+
+
+@pytest.mark.parametrize("machine", [2**63, -2**63 - 1, 10**30])
+def test_profile_machine_outside_int64_rejected(machine):
+    raw = [{"machine": machine, "pieces": [{"end": None, "alpha": 1.0}]}]
+    with pytest.raises(ValueError, match=f"machine {machine} is outside the signed"):
+        profiles_from_obj(raw)
+    raw[0]["machine"] = 2**63 - 1
+    assert profiles_from_obj(raw)[0].machine_index == 2**63 - 1
 
 
 class TestSptOnAssignment:

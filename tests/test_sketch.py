@@ -8,6 +8,7 @@ from conftest import boundary_streams
 
 from streamsched import sketch as sketch_mod
 from streamsched.sketch import (
+    RP_LIMIT,
     EmptyStreamError,
     KnowledgeMode,
     Sketch,
@@ -286,3 +287,19 @@ class TestSerialization:
             '0.06666666666666667}'
         )
         assert Sketch.from_json(text) == sketch_stream([1, 1, 2], 1.0, 1.0)
+
+    def test_rounded_sizes_past_2_to_the_60_read_back(self):
+        stream = [2**60 + k * 2**54 for k in range(40)] + [3, 7]
+        sk = sketch_stream(stream, 1.0, 0.5)
+        assert max(rp for rp, _c in sk.entries) > 2**60
+        assert Sketch.from_json(sk.to_json()) == sk
+
+    def test_rp_just_below_the_limit_checked_without_overflow(self):
+        # the powers of (1+tau) that pass it stay finite floats
+        sk = Sketch(((1, 1), (RP_LIMIT - 1, 1)), 2, RP_LIMIT - 1, 1.0, 1.0)
+        with pytest.raises(ValueError, match=r"entry 1 \(rp=\d+\) is no rounded"):
+            Sketch.from_json(sk.to_json())
+        big = rounded_value(10_987, TAU)
+        assert RP_LIMIT // 2 <= big < RP_LIMIT
+        sk = Sketch(((1, 1), (big, 1)), 2, big, 1.0, 1.0)
+        assert Sketch.from_json(sk.to_json()) == sk
