@@ -24,9 +24,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 
+from . import budget
 from .model import MachineProfile, Schedule, work_to_time
 from .planner import Plan
-from .sketch import FLOAT_EXACT, bucket_groups, power_table, tau_from
+from .sketch import FLOAT_EXACT, bucket_groups, power_table
 
 
 class StreamMismatchError(Exception):
@@ -61,7 +62,7 @@ def emit(
         raise ValueError(
             f"plan is for {len(plan.counts)} machines, got {len(profiles)} profiles"
         )
-    tau, groups, m = tau_from(plan.eps, plan.alpha0), plan.groups, len(profiles)
+    tau, groups, m = budget.tau(plan.eps, plan.alpha0), plan.groups, len(profiles)
     first = profiles[0]
     rps = [rp for rp, _nk in groups]
     # a group that no bucket maps to would keep its slots empty while its

@@ -38,8 +38,9 @@ from .model import (
     run_batch,
     work_to_time,
 )
+from . import budget
 from .partition import PartitionTuple, enumerate_partitions
-from .sketch import Sketch, bucket_groups, tau_from
+from .sketch import Sketch, bucket_groups
 
 ZERO = "Z"  # signature symbol for an empty machine (log of 0 is undefined)
 
@@ -50,14 +51,6 @@ class EmptySketchError(Exception):
 
 class FrontierBoundError(Exception):
     """A group's surviving frontier exceeds the bucket-count bound."""
-
-
-def delta_from(sketch: Sketch, eps: float, alpha0: float) -> float:
-    """Similarity granularity eps*alpha0/(24*mu), mu = number of groups."""
-    mu = len(sketch.entries)
-    if mu == 0:
-        raise EmptySketchError("sketch has no entries")
-    return eps * alpha0 / (24.0 * mu)
 
 
 def append_group(
@@ -162,7 +155,7 @@ class Plan:
         """Keys this format no longer uses (older files carry some, such as
         `starts`, `tau` and `delta`) are ignored; a missing key, a value of
         the wrong JSON kind, eps, alpha0 or small_reservation out of range,
-        eps and alpha0 too small for tau_from, or a group's rp or n_k below 1
+        eps and alpha0 too small for budget.tau, or a group's rp or n_k below 1
         raises ValueError naming it. So does a group whose rp is no rounded
         size at the plan's tau, or at or past RP_LIMIT (see bucket_groups)."""
         obj = json.loads(text)
@@ -170,7 +163,7 @@ class Plan:
         require_numbers(obj, _PLAN_KEYS[:-2], "plan JSON")
         require_integers(obj, ("n",), "plan JSON")
         require_positive(obj, ("eps", "alpha0"), "plan JSON", 1.0)
-        tau = tau_from(obj["eps"], obj["alpha0"])
+        tau = budget.tau(obj["eps"], obj["alpha0"])
         require_at_least(obj, ("small_reservation",), "plan JSON", 0)
         for g in require_list(obj["groups"], "plan JSON 'groups'"):
             require_keys(g, ("rp", "n_k"), "plan JSON group")
@@ -227,7 +220,9 @@ def plan(
             f"plan eps={eps}, alpha0={alpha0} differ from the sketch's "
             f"eps={sketch.eps}, alpha0={sketch.alpha0}"
         )
-    delta = delta_from(sketch, eps, alpha0)  # EmptySketchError if no entries
+    if not sketch.entries:
+        raise EmptySketchError("sketch has no entries")
+    delta = budget.delta(eps, alpha0, len(sketch.entries))
     require_alpha0(profiles, alpha0)
     require_distinct_machines(profiles)
     m = len(profiles)
@@ -259,7 +254,7 @@ def plan(
     # the keep rule; the work vectors are distinct
     entry = frontier[min(frontier, key=lambda w: (frontier[w][0], w))]
     sigma_sp = entry[0]
-    V = (1.0 + eps / 3.0) * (1.0 + eps / 15.0) * sigma_sp
+    V = budget.value_factor(eps) * sigma_sp
 
     # counts[machine][group]: one split per group along the winner's parents
     splits = []
@@ -274,7 +269,7 @@ def plan(
         eps=eps,
         alpha0=alpha0,
         n=sketch.n,
-        small_reservation=eps * sketch.p_max / (3.0 * sketch.n),
+        small_reservation=budget.small_reservation(eps, sketch.n, sketch.p_max),
         groups=sketch.entries,
         counts=counts,
         max_states=max_states,

@@ -1,9 +1,9 @@
 """One-pass streaming construction of the rounded large-job summary.
 
-Jobs are geometrically bucketed with ratio (1+tau), tau = eps*alpha0/15.
-Jobs below a running largeness threshold are skipped; the threshold depends
-on which of the prior-knowledge inputs (job-count upper bound, max-processing
-lower bound) are available.
+Jobs are geometrically bucketed with ratio (1+tau). Jobs below a running
+largeness threshold are skipped; the threshold depends on which of the
+prior-knowledge inputs (job-count upper bound, max-processing lower bound)
+are available. tau and both thresholds come from the budget module.
 """
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
+from . import budget
 from .model import (
     require_at_least, require_integers, require_keys, require_list, require_numbers,
     require_positive,
@@ -89,19 +90,6 @@ def bucket_index(p: int, tau: float) -> int:
     return bisect_right(table, float(p) if p < FLOAT_EXACT else p)
 
 
-def tau_from(eps: float, alpha0: float) -> float:
-    """The bucket ratio's excess tau = eps*alpha0/15. Raises ValueError naming
-    eps and alpha0 when 1 + tau rounds to 1, since no power of (1+tau) could
-    then pass a processing time."""
-    tau = eps * alpha0 / 15.0
-    if not 1.0 + tau > 1.0:
-        raise ValueError(
-            f"eps={eps} and alpha0={alpha0} give tau={tau}, so small that "
-            "1 + tau rounds to 1"
-        )
-    return tau
-
-
 def rounded_value(k: int, tau: float) -> int:
     """floor((1+tau)^k), the rounded processing time of bucket k."""
     if k < 1:
@@ -109,7 +97,7 @@ def rounded_value(k: int, tau: float) -> int:
     return int(math.floor(_power(tau, k)))
 
 
-# tau = eps*alpha0/15 is at most 1/15, so the first power of (1+tau) past
+# tau is at most 1/15 (see budget.tau), so the first power of (1+tau) past
 # an rp below this is still a finite float
 RP_LIMIT = 2**1023
 
@@ -163,7 +151,7 @@ class Sketch:
 
     @property
     def tau(self) -> float:
-        return tau_from(self.eps, self.alpha0)
+        return budget.tau(self.eps, self.alpha0)
 
     def to_json(self) -> str:
         obj = {
@@ -179,7 +167,7 @@ class Sketch:
     def from_json(cls, text: str) -> "Sketch":
         """Keys this format no longer uses (older files carry some, such as
         `tau`) are ignored; a missing key, a value of the wrong JSON kind, eps
-        or alpha0 out of range or too small for tau_from, n or p_max below 1,
+        or alpha0 out of range or too small for budget.tau, n or p_max below 1,
         an entry's rp or count below 1, or counts that sum past n raise
         ValueError naming it. So does an entry whose rp is no rounded size
         at the sketch's tau, or at or past RP_LIMIT (see bucket_groups)."""
@@ -188,7 +176,7 @@ class Sketch:
         require_numbers(obj, _SKETCH_KEYS[:-1], "sketch JSON")
         require_integers(obj, ("n", "p_max"), "sketch JSON")
         require_positive(obj, ("eps", "alpha0"), "sketch JSON", 1.0)
-        tau = tau_from(obj["eps"], obj["alpha0"])
+        tau = budget.tau(obj["eps"], obj["alpha0"])
         require_at_least(obj, ("n", "p_max"), "sketch JSON", 1)
         for e in require_list(obj["entries"], "sketch JSON 'entries'"):
             require_keys(e, ("rp", "count"), "sketch JSON entry")
@@ -228,16 +216,14 @@ class SketchBuilder:
             raise ValueError("eps must be in (0, 1]")
         if not 0.0 < self.alpha0 <= 1.0:
             raise ValueError("alpha0 must be in (0, 1]")
-        self.tau = tau_from(self.eps, self.alpha0)
+        self.tau = budget.tau(self.eps, self.alpha0)
         _power(self.tau, 1)  # prime the table
         self.n_cur = 0
         self.p_curMax = 0
-        # threshold coefficient eps*alpha0/(3 n'^2); zero when n' is unknown
-        # (infinity treated as a number, 1/infinity as 0)
-        if self.mode.n_upper is not None:
-            self._thr_coeff = self.eps * self.alpha0 / (3.0 * self.mode.n_upper**2)
-        else:
-            self._thr_coeff = 0.0
+        # the running threshold is this times the largest job so far
+        self._thr_coeff = budget.threshold_coeff(
+            self.eps, self.alpha0, self.mode.n_upper
+        )
         pmax_seed = self.mode.pmax_lower if self.mode.pmax_lower is not None else 1
         self.p_minL = max(self._thr_coeff * pmax_seed, 1.0)
         self._array_mode = self.mode.pmax_lower is not None
@@ -342,7 +328,7 @@ class SketchBuilder:
                 f"stream's largest job {p_max} is below the promised "
                 f"pmax_lower {self.mode.pmax_lower}"
             )
-        p_minL_final = self.eps * self.alpha0 * p_max / (3.0 * n * n)
+        p_minL_final = budget.threshold(self.eps, self.alpha0, n, p_max)
         raw = enumerate(self._counts) if self._array_mode else self._store.items()
         # buckets with equal rounded value are merged into one entry
         merged: dict[int, int] = {}

@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from streamsched import budget
 from streamsched.assigner import emit
 from streamsched.model import (
     Instance,
@@ -23,7 +24,7 @@ from streamsched.model import (
 )
 from streamsched.oracle import brute_force_opt
 from streamsched.partition import enumerate_partitions
-from streamsched.planner import _state_bound, delta_from, plan, signature
+from streamsched.planner import _state_bound, plan, signature
 from streamsched.sketch import (
     KnowledgeMode,
     SketchBuilder,
@@ -133,7 +134,7 @@ def _stream_with_bound_checks(builder, stream, map_mode_bound=None):
 def test_criterion_3_one_pass_space(million_job_file):
     path, n = million_job_file
     eps, alpha0 = 1.0, 0.5
-    tau = eps * alpha0 / 15.0
+    tau = budget.tau(eps, alpha0)
     log = lambda x: math.log(x) / math.log(1 + tau)
     pmax_lower, c2 = 10**5, 10
     modes = {
@@ -168,7 +169,7 @@ def test_criterion_3_one_pass_space(million_job_file):
 
 def test_criterion_4_rounding_and_permutation_invariance():
     eps, alpha0 = 1.0, 0.5
-    tau = eps * alpha0 / 15.0
+    tau = budget.tau(eps, alpha0)
     # bracket p <= rp < (1+tau)p for every processing time the million-job
     # streams can contain
     for p in range(1, 10**6 + 1):
@@ -214,7 +215,7 @@ def test_criterion_6_prune_soundness(instance_batch):
     for r in runs:
         sk, pl = r["sketch"], r["plan"]
         m = len(r["inst"].machines)
-        delta = delta_from(sk, pl.eps, pl.alpha0)
+        delta = budget.delta(pl.eps, pl.alpha0, len(sk.entries))
         bound = _state_bound(sk, r["alpha0"], delta, m)
         inv_log = 1.0 / math.log1p(delta)
         for frontier in r["trace"]:

@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 from conftest import boundary_streams, make_profile
 
+from streamsched import budget
 from streamsched.assigner import StreamMismatchError, emit
 from streamsched.model import (
     CapacityInterval,
@@ -19,7 +20,7 @@ from streamsched.model import (
 from streamsched.oracle import brute_force_opt
 from streamsched.planner import Plan, plan
 from streamsched.sketch import (
-    KnowledgeMode, bucket_index, rounded_value, sketch_stream, tau_from,
+    KnowledgeMode, bucket_index, rounded_value, sketch_stream,
 )
 
 
@@ -32,7 +33,7 @@ def reference_slots(pl, stream, profiles):
     """Each job's slot by the rule `emit` documents, from bucket_index and
     rounded_value: (profile, work coordinate at the slot's start) for a
     large job, None for a small one."""
-    tau, groups = tau_from(pl.eps, pl.alpha0), pl.groups
+    tau, groups = budget.tau(pl.eps, pl.alpha0), pl.groups
     group_of = {rp: g for g, (rp, _nk) in enumerate(groups)}
     remaining = [list(row) for row in pl.counts]
     cursors = []
@@ -164,7 +165,7 @@ class TestEmit:
 
     def test_groups_past_two_to_the_53(self):
         profiles = (flat_profile(0.75),)
-        for stream in boundary_streams(0.75 / 15.0):
+        for stream in boundary_streams(budget.tau(1.0, 0.75)):
             pl = build_plan(stream, profiles, alpha0=0.75)
             assert len(pl.groups) == 2  # t - 1 and t round apart
             _, report = assert_large_jobs_match_reference(pl, stream, profiles)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from streamsched import planner
+from streamsched import budget, planner
 from streamsched.assigner import emit
 from streamsched.model import (
     Instance,
@@ -25,7 +25,6 @@ from streamsched.planner import (
     Plan,
     ZERO,
     append_group,
-    delta_from,
     plan,
     prune,
     signature,
@@ -41,28 +40,33 @@ def make_sketch(stream, eps=1.0, alpha0=1.0):
     return sketch_stream(stream, eps, alpha0)
 
 
+def delta_of(sketch, eps, alpha0):
+    """The planner's delta for a sketch: one mu per group."""
+    return budget.delta(eps, alpha0, len(sketch.entries))
+
+
 class TestDelta:
     def test_two_groups(self):
         sk = make_sketch([1, 1, 2])
-        assert delta_from(sk, 1.0, 1.0) == pytest.approx(1 / 48)
+        assert delta_of(sk, 1.0, 1.0) == pytest.approx(1 / 48)
 
     def test_one_group(self):
         sk = make_sketch([1])
-        assert delta_from(sk, 0.5, 0.5) == pytest.approx(0.25 / 24)
+        assert delta_of(sk, 0.5, 0.5) == pytest.approx(0.25 / 24)
 
     def test_ten_groups(self):
         stream = [round(100 * 1.5**i) for i in range(10)]
         sk = make_sketch(stream)
         assert len(sk.entries) == 10
-        assert delta_from(sk, 1.0, 1.0) == pytest.approx(1 / 240)
+        assert delta_of(sk, 1.0, 1.0) == pytest.approx(1 / 240)
 
-    def test_empty(self):
+    def test_empty(self, unit_profile):
         sk = make_sketch([1])
         empty = sk.__class__(
             entries=(), n=1, p_max=1, eps=1.0, alpha0=1.0,
         )
         with pytest.raises(EmptySketchError):
-            delta_from(empty, 1.0, 1.0)
+            plan(empty, (unit_profile,), 1.0, 1.0)
 
 
 INV_LOG_1 = 1.0 / math.log1p(1.0)  # signature scale at delta = 1
@@ -161,7 +165,7 @@ class TestPlan:
         sk = sketch_stream(stream, 0.5, 0.5)
         trace = []
         plan(sk, profiles, 0.5, 0.5, trace=trace)
-        inv_log = 1.0 / math.log1p(delta_from(sk, 0.5, 0.5))
+        inv_log = 1.0 / math.log1p(delta_of(sk, 0.5, 0.5))
         for frontier in trace:
             sigs = [signature(w, inv_log) for w in frontier]
             assert len(sigs) == len(set(sigs))
@@ -280,7 +284,7 @@ class TestActivePrune:
         sk = sketch_stream(stream, eps, alpha0)
         trace = []
         pl = plan(sk, inst.machines, eps, alpha0, trace=trace)
-        delta = delta_from(sk, eps, alpha0)
+        delta = delta_of(sk, eps, alpha0)
         assert sum(rp * c for rp, c in sk.entries) * delta > 1
         bound = planner._state_bound(sk, alpha0, delta, len(inst.machines))
         inv_log = 1.0 / math.log1p(delta)
@@ -348,7 +352,7 @@ class TestPrefixWorkBound:
         sk = sketch_stream(stream, 1.0, 0.5)
         trace = []
         pl = plan(sk, profiles, 1.0, 0.5, trace=trace)
-        delta = delta_from(sk, 1.0, 0.5)
+        delta = delta_of(sk, 1.0, 0.5)
 
         expanded = []  # (group position, rp) per sketch job
         for g, (rp, cnt) in enumerate(sk.entries):
