@@ -59,7 +59,8 @@ The chain, one factor per step:
 
 4. Small jobs, factor 1 + eps/3 (proved). A job is outside the sketch when
    pass 1 skipped it below the running threshold, which never exceeds
-   theta, or when its rounded size is at most theta; either way p <= theta.
+   theta (up to the rounding of the two float forms), or when its rounded
+   size is at most theta; either way p <= theta.
    The n_s of them hold at most n_s*theta work, which fits in machine 1's
    reservation R. Machine 1's slots start after that work, so each of its
    at most n - n_s large jobs completes at most n_s*theta/alpha0 later than
@@ -127,6 +128,7 @@ def value_factor(eps: float) -> float:
     return (1.0 + eps / 3.0) * (1.0 + eps / 15.0)
 
 
-def small_reservation(eps: float, n: int, p_max: int) -> float:
-    """Machine 1's head reservation for the small jobs, eps*p_max/(3n)."""
-    return eps * p_max / (3.0 * n)
+def small_work(eps: float, alpha0: float, n: int, p_max: int, n_small: int) -> float:
+    """n_s*theta, the most work the n_small jobs outside the sketch can hold;
+    machine 1 reserves the time it needs to deliver it, G_1^-1(n_s*theta)."""
+    return n_small * threshold(eps, alpha0, n, p_max)

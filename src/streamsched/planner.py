@@ -263,13 +263,16 @@ def plan(
         entry = entry[2]
     counts = tuple(zip(*reversed(splits)))
 
+    # machine 1's head holds the jobs outside the sketch, none above theta
+    n_small = sketch.n - sum(n_k for _rp, n_k in sketch.entries)
+    small = budget.small_work(eps, alpha0, sketch.n, sketch.p_max, n_small)
     return Plan(
         V=V,
         sigma_S_prime=sigma_sp,
         eps=eps,
         alpha0=alpha0,
         n=sketch.n,
-        small_reservation=budget.small_reservation(eps, sketch.n, sketch.p_max),
+        small_reservation=profiles[0].time_at(small),
         groups=sketch.entries,
         counts=counts,
         max_states=max_states,

@@ -15,8 +15,10 @@ import pytest
 from streamsched import budget
 from streamsched.assigner import emit
 from streamsched.model import (
+    CapacityInterval,
     Instance,
     Job,
+    MachineProfile,
     evaluate_schedule,
     random_instance,
     random_profile,
@@ -100,6 +102,75 @@ def test_criterion_2_two_pass_schedule_quality(instance_batch):
         else:
             assert sigma <= r["plan"].V * (1 + REL)
     _announce(2, f"{len(runs)} emitted schedules feasible, {mismatches} mismatches")
+
+
+def _fast_then_slow(rng, alpha0, machine_index):
+    """Capacity 1 for U[0.5, 8] time units, then alpha0 for good."""
+    turn = rng.uniform(0.5, 8.0)
+    return MachineProfile(machine_index, (
+        CapacityInterval(0.0, turn, 1.0),
+        CapacityInterval(turn, math.inf, alpha0),
+    ))
+
+
+def _small_alpha0_batch():
+    """(jobs, profiles, eps, alpha0): 300 seeded instances with n <= 8 and
+    m <= 2, half of them on profiles that drop from capacity 1 to alpha0,
+    then one job of 1,000 after ten of 2 on a profile that is slow from
+    t = 30 to t = 2,130."""
+    cases = []
+    rng = random.Random(1919)
+    for k in range(300):
+        alpha0 = (0.05, 0.1, 0.3)[k % 3]
+        eps = (0.3, 1.0)[k // 3 % 2]
+        m = rng.randint(1, 2)
+        if k // 6 % 2:
+            profiles = tuple(_fast_then_slow(rng, alpha0, i + 1) for i in range(m))
+        else:
+            profiles = tuple(random_profile(rng, alpha0, i + 1) for i in range(m))
+        # log-uniform sizes up to 1,000, so that some jobs fall below theta
+        jobs = [max(1, int(1000 ** rng.random())) for _ in range(rng.randint(1, 8))]
+        cases.append((jobs, profiles, eps, alpha0))
+    slow_middle = MachineProfile(1, (
+        CapacityInterval(0.0, 30.0, 1.0),
+        CapacityInterval(30.0, 2130.0, 0.01),
+        CapacityInterval(2130.0, math.inf, 1.0),
+    ))
+    cases.append(([2] * 10 + [1000], (slow_middle,), 1.0, 0.01))
+    return cases
+
+
+def test_sandwich_at_small_alpha0():
+    t_start = time.monotonic()
+    cases = _small_alpha0_batch()
+    mismatches = small = 0
+    for jobs, profiles, eps, alpha0 in cases:
+        sk = sketch_stream(jobs, eps, alpha0)
+        pl = plan(sk, profiles, eps, alpha0)
+        schedule, report = emit(pl, jobs, profiles)
+        inst = Instance(profiles, tuple(Job(i, p) for i, p in enumerate(jobs, 1)), alpha0)
+        opt = brute_force_opt(inst).opt_value
+        sigma = evaluate_schedule(inst, schedule)
+        case = (jobs, eps, alpha0, opt, pl.V, sigma)
+        assert opt <= pl.V * (1 + REL), case
+        assert pl.V <= (1 + eps) * opt * (1 + REL), case
+        assert sigma <= (1 + eps) * opt * (1 + REL), case
+        if report.mismatch:
+            mismatches += 1
+        else:
+            assert sigma <= pl.V * (1 + REL), case
+        small += report.small_placed
+    # the eleven-job case: nothing is small, so nothing is reserved and the
+    # schedule is optimal
+    assert pl.small_reservation == 0.0
+    assert sigma == pytest.approx(opt) and opt == pytest.approx(3209.0)
+    elapsed = time.monotonic() - t_start
+    assert elapsed < 10.0
+    _announce(
+        "small alpha0",
+        f"{len(cases)} instances, {small} small jobs, {mismatches} mismatches, "
+        f"{elapsed:.1f}s",
+    )
 
 
 @pytest.fixture(scope="module")

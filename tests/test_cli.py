@@ -389,7 +389,7 @@ class TestSubcommands:
         old_plan.write_text(OLDER_PLAN)
         new_plan = sketch_and_plan(tmp_path, jobs, profile, alpha0="0.5")
         assert "starts" not in json.loads(new_plan.read_text())
-        csvs = []
+        rows = []
         for pl in (old_plan, new_plan):
             out = tmp_path / f"{pl.stem}.csv"
             assert main(
@@ -398,10 +398,23 @@ class TestSubcommands:
                     "--profile", str(profile), "--out", str(out),
                 ]
             ) == 0
-            csvs.append(out.read_bytes())
-        assert csvs[0] == csvs[1]
-        # machine 1's first large slot starts after the small reservation
-        assert "2,1,37.5,44.5" in csvs[0].decode().splitlines()
+            assert main(
+                [
+                    "eval", "--schedule", str(out), "--profile", str(profile),
+                    "--jobs", str(jobs),
+                ]
+            ) == 0
+            rows.append(out.read_text().splitlines())
+        # the older plan reserved eps*p_max/(3n) = 37.5 time units on
+        # machine 1; a fresh one reserves the time for the two unit jobs'
+        # work bound, 2 * theta = 4.6875 units, which ends at 5.6875
+        assert "2,1,37.5,44.5" in rows[0]
+        assert json.loads(new_plan.read_text())["small_reservation"] == 5.6875
+        assert "2,1,5.6875,12.6875" in rows[1]
+        # machine 2 keeps no reservation, so its rows do not change
+        assert [r for r in rows[0] if r.split(",")[1] == "2"] == [
+            r for r in rows[1] if r.split(",")[1] == "2"
+        ]
 
 
 def json_without(key):

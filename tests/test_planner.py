@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -149,14 +150,26 @@ class TestPlan:
         profiles = (flat_profile(1.0, 1), flat_profile(1.0, 2))
         sk = make_sketch([4, 4, 4, 4])
         pl = plan(sk, profiles, 1.0, 1.0)
+        # no job is small, so nothing is reserved
+        assert pl.small_reservation == 0.0
+        # with theta = 1 * 0.5 * 100 / (3 * 4^2), the two unit jobs are
+        # small: machine 1, at capacity 0.5, reserves the time it needs for
+        # 2 * theta units of work, and its large slot starts after it
+        profiles = (flat_profile(0.5, 1), flat_profile(0.5, 2))
+        stream = [1, 100, 1, 100]
+        sk = make_sketch(stream, 1.0, 0.5)
+        assert [count for _rp, count in sk.entries] == [2]
+        pl = plan(sk, profiles, 1.0, 0.5)
         res = pl.small_reservation
-        assert res == pytest.approx(1.0 * 4 / (3 * 4))
-        schedule, _ = emit(pl, [4, 4, 4, 4], profiles)
-        first_start = {}
+        assert res == pytest.approx(2 * (0.5 * 100 / 48) / 0.5)
+        schedule, report = emit(pl, stream, profiles)
+        assert report.small_placed == 2 and report.reservation_overflow == 0
+        first_large = {}
         for placed in schedule.placements:
-            first_start.setdefault(placed.machine_index, placed.start)
-        assert first_start[1] == pytest.approx(res)
-        assert first_start[2] == 0.0
+            if placed.job_id in (2, 4):
+                first_large.setdefault(placed.machine_index, placed.start)
+        assert first_large[1] == pytest.approx(res)
+        assert first_large[2] == 0.0
 
     def test_trace_signatures_unique_and_bounded(self):
         rng = random.Random(2)
@@ -221,7 +234,17 @@ class TestPlan:
             '0.06666666666666667}'
         )
         pl = plan(make_sketch([1, 1, 2]), (unit_profile,), 1.0, 1.0)
-        assert Plan.from_json(text) == pl
+        older = Plan.from_json(text)
+        # its reservation was sized eps*p_max/(3n); a fresh plan's holds
+        # only the small jobs' work, and [1, 1, 2] has none
+        assert older.small_reservation == 0.2222222222222222
+        assert pl.small_reservation == 0.0
+        assert dataclasses.replace(older, small_reservation=0.0) == pl
+        schedule, report = emit(older, [1, 1, 2], (unit_profile,))
+        jobs = (Job(1, 1), Job(2, 1), Job(3, 2))
+        sigma = evaluate_schedule(Instance((unit_profile,), jobs, 1.0), schedule)
+        assert sigma == pytest.approx(7 + 2 / 3)
+        assert not report.mismatch
 
 
 def _random_case(seed, n, m, eps, alpha0, max_p):
