@@ -25,7 +25,9 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from . import budget
-from .model import MachineProfile, Schedule, work_to_time
+from .model import (
+    RP_LIMIT, MachineProfile, Schedule, require_below_rp_limit, work_to_time,
+)
 from .planner import Plan
 from .sketch import FLOAT_EXACT, bucket_groups, power_table
 
@@ -55,9 +57,10 @@ def emit(
     (any order). A large job starts where its slot starts, G^-1 of the slot's
     work coordinate, and completes after its true processing time; the slot
     coordinate then advances by the rounded length, to the next slot.
-    Raises ValueError when the profile count differs from the plan's, or
+    Raises ValueError when the profile count differs from the plan's,
     naming the group when a group's rp is no rounded size at the plan's
-    tau."""
+    tau, or naming the job when a processing time is at or past
+    RP_LIMIT."""
     if len(profiles) != len(plan.counts):
         raise ValueError(
             f"plan is for {len(plan.counts)} machines, got {len(profiles)} profiles"
@@ -113,52 +116,61 @@ def emit(
     put_machine, put_start, put_completion = (
         out_machines.append, out_starts.append, out_completions.append
     )
-    job_id = 0
-    for job_id, p in enumerate(stream, start=1):
-        if p < 1:
-            raise ValueError("processing time must be >= 1")
-        fp = float(p)
-        x = fp if p < FLOAT_EXACT else p
-        g = group_of[bisect_right(table, x)] if x < top else None
-        cur = None if g is None else cursor[g]
-        if cur is None:
-            if g is not None:
-                bucket_overflow += 1
-            profile = first
-            start = small_cursor
-            completion = work_to_time(profile, start, fp)
-            if completion > head_limit:
-                reservation_overflow += 1
-                start = tail_cursor
+    job_id = p = 0
+    try:
+        for job_id, p in enumerate(stream, start=1):
+            if p < 1:
+                raise ValueError("processing time must be >= 1")
+            fp = float(p)
+            x = fp if p < FLOAT_EXACT else p
+            g = group_of[bisect_right(table, x)] if x < top else None
+            cur = None if g is None else cursor[g]
+            if cur is None:
+                # every p from RP_LIMIT up lands here, past all groups
+                if p >= RP_LIMIT:
+                    require_below_rp_limit(p, f"job {job_id}: processing time")
+                if g is not None:
+                    bucket_overflow += 1
+                profile = first
+                start = small_cursor
                 completion = work_to_time(profile, start, fp)
-                tail_cursor = completion
+                if completion > head_limit:
+                    reservation_overflow += 1
+                    start = tail_cursor
+                    completion = work_to_time(profile, start, fp)
+                    tail_cursor = completion
+                else:
+                    small_cursor = completion
+                small_placed += 1
             else:
-                small_cursor = completion
-            small_placed += 1
-        else:
-            w, j, left, rp, i, tab = cur
-            starts, ends, works, alphas, profile = tab
-            while works[j + 1] <= w:
-                j += 1
-            alpha = alphas[j]
-            start = starts[j] + (w - works[j]) / alpha
-            # the completion is walked from the start, not read off
-            # G^-1(w + p): deep in a timeline the difference of two G^-1
-            # values loses the digits the evaluator needs to see exactly p
-            # units of work. A job that ends in interval j is work_to_time's
-            # first case, inlined; the rest call it. A start rounded onto
-            # interval j's end fails the test by itself, as fp > 0.
-            if fp - alpha * (ends[j] - start) <= 0:
-                completion = start + fp / alpha
-            else:
-                completion = work_to_time(profile, start, fp)
-            if left > 1:
-                cursor[g] = (w + rp, j, left - 1, rp, i, tab)
-            else:  # machine i has used up its slots of group g
-                cursor[g] = load(g, i + 1)
-        put_machine(profile.machine_index)
-        put_start(start)
-        put_completion(completion)
+                w, j, left, rp, i, tab = cur
+                starts, ends, works, alphas, profile = tab
+                while works[j + 1] <= w:
+                    j += 1
+                alpha = alphas[j]
+                start = starts[j] + (w - works[j]) / alpha
+                # the completion is walked from the start, not read off
+                # G^-1(w + p): deep in a timeline the difference of two
+                # G^-1 values loses the digits the evaluator needs to see
+                # exactly p units of work. A job that ends in interval j is
+                # work_to_time's first case, inlined; the rest call it. A
+                # start rounded onto interval j's end fails the test by
+                # itself, as fp > 0.
+                if fp - alpha * (ends[j] - start) <= 0:
+                    completion = start + fp / alpha
+                else:
+                    completion = work_to_time(profile, start, fp)
+                if left > 1:
+                    cursor[g] = (w + rp, j, left - 1, rp, i, tab)
+                else:  # machine i has used up its slots of group g
+                    cursor[g] = load(g, i + 1)
+            put_machine(profile.machine_index)
+            put_start(start)
+            put_completion(completion)
+    except OverflowError:
+        # float(p) of a p past the float range
+        require_below_rp_limit(p, f"job {job_id}: processing time")
+        raise
     if job_id != plan.n:
         raise StreamMismatchError(f"pass 2 saw {job_id} jobs, plan expects {plan.n}")
     report = EmitReport(small_placed, bucket_overflow, reservation_overflow)

@@ -18,6 +18,19 @@ from operator import itemgetter
 
 REL_TOL = 1e-9
 
+# processing times and rounded sizes stay below this: tau is at most 1/15,
+# so the first power of (1+tau) past a value below it is still a finite float
+RP_LIMIT = 2**1023
+
+
+def require_below_rp_limit(value: int, what: str) -> None:
+    """Raise ValueError naming `what` when value is at or past RP_LIMIT."""
+    if value >= RP_LIMIT:
+        raise ValueError(
+            f"{what} must be below 2**1023, got an integer of "
+            f"{len(str(value))} digits"
+        )
+
 
 class ScheduleError(Exception):
     """Base class for schedule feasibility violations."""
@@ -47,8 +60,10 @@ class Job:
     def __post_init__(self):
         if self.id < 1:
             raise ValueError(f"job id must be >= 1, got {self.id}")
-        if self.p < 1:
-            raise ValueError(f"processing time must be >= 1, got {self.p}")
+        if not 1 <= self.p < RP_LIMIT:
+            if self.p < 1:
+                raise ValueError(f"processing time must be >= 1, got {self.p}")
+            require_below_rp_limit(self.p, f"job {self.id}: processing time")
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 from . import budget
 from .model import (
-    require_at_least, require_integers, require_keys, require_list, require_numbers,
-    require_positive,
+    RP_LIMIT, require_at_least, require_below_rp_limit, require_integers,
+    require_keys, require_list, require_numbers, require_positive,
 )
 
 
@@ -97,11 +97,6 @@ def rounded_value(k: int, tau: float) -> int:
     return int(math.floor(_power(tau, k)))
 
 
-# tau is at most 1/15 (see budget.tau), so the first power of (1+tau) past
-# an rp below this is still a finite float
-RP_LIMIT = 2**1023
-
-
 def bucket_groups(rps, tau: float, what: str) -> list:
     """group_of[k]: the index in rps of the rp that bucket k rounds to,
     floor((1+tau)^k), or None when none does; every bucket from
@@ -112,11 +107,7 @@ def bucket_groups(rps, tau: float, what: str) -> list:
     that is no rounded size at tau, since no job would round to it, or one
     that another index repeats."""
     for g, rp in enumerate(rps):
-        if rp >= RP_LIMIT:
-            raise ValueError(
-                f"{what} {g}: rp must be below 2**1023, got an integer of "
-                f"{len(str(rp))} digits"
-            )
+        require_below_rp_limit(rp, f"{what} {g}: rp")
     index_of = {rp: g for g, rp in enumerate(rps)}
     largest = max(index_of, default=0)
     group_of = [None]  # there is no bucket 0
@@ -167,8 +158,8 @@ class Sketch:
     def from_json(cls, text: str) -> "Sketch":
         """Keys this format no longer uses (older files carry some, such as
         `tau`) are ignored; a missing key, a value of the wrong JSON kind, eps
-        or alpha0 out of range or too small for budget.tau, n or p_max below 1,
-        an entry's rp or count below 1, or counts that sum past n raise
+        or alpha0 out of range or too small for budget.tau, n or p_max below 1
+        or at or past RP_LIMIT, an entry's rp or count below 1, or counts that sum past n raise
         ValueError naming it. So does an entry whose rp is no rounded size
         at the sketch's tau, or at or past RP_LIMIT (see bucket_groups)."""
         obj = json.loads(text)
@@ -178,6 +169,8 @@ class Sketch:
         require_positive(obj, ("eps", "alpha0"), "sketch JSON", 1.0)
         tau = budget.tau(obj["eps"], obj["alpha0"])
         require_at_least(obj, ("n", "p_max"), "sketch JSON", 1)
+        for key in ("n", "p_max"):
+            require_below_rp_limit(int(obj[key]), f"sketch JSON: {key}")
         for e in require_list(obj["entries"], "sketch JSON 'entries'"):
             require_keys(e, ("rp", "count"), "sketch JSON entry")
             require_integers(e, ("rp", "count"), "sketch JSON entry")
@@ -246,8 +239,11 @@ class SketchBuilder:
     def observe_all(self, stream) -> None:
         """observe() each processing time of the iterable in turn.
 
-        The counters live in locals while the loop runs and are stored back
-        when it stops, also when a job is rejected part way through.
+        A time below 1, or at or past RP_LIMIT, raises ValueError; the
+        latter is checked only when a job sets a new maximum, and names the
+        job's position in the stream. The counters live in locals while the
+        loop runs and are stored back when it stops, also when a job is
+        rejected part way through.
         """
         tau = self.tau
         table = power_table(tau, 1)
@@ -266,6 +262,8 @@ class SketchBuilder:
                     raise ValueError("processing time must be >= 1")
                 n += 1
                 if p > p_max:
+                    if p >= RP_LIMIT:
+                        require_below_rp_limit(p, f"job {n}: processing time")
                     p_max = p
                     cand = thr_coeff * p
                     if p_minL < cand:

@@ -653,6 +653,38 @@ MALFORMED = {
     ),
     # rp 2 edited to 21, no floor((1 + 1/15)^k): the sketch entry is named
     # before a plan is made of it
+    # numbers past the float range, each at its place in the chain
+    "sketch-huge-p-max": (
+        "approximate",
+        {"sketch": json_with(p_max=10**400)},
+        "sketch JSON: p_max must be below 2**1023, got an integer of 401 digits",
+    ),
+    "sketch-huge-n": (
+        "approximate",
+        {"sketch": json_with(n=10**400)},
+        "sketch JSON: n must be below 2**1023, got an integer of 401 digits",
+    ),
+    "jobs-huge-p-sketch": (
+        "sketch",
+        {"jobs": f"1\n1\n{10**400}\n"},
+        "job 3: processing time must be below 2**1023, got an integer of 401 digits",
+    ),
+    "jobs-huge-p-schedule": (
+        "schedule",
+        {"jobs": f"1\n1\n{10**400}\n"},
+        "job 3: processing time must be below 2**1023, got an integer of 401 digits",
+    ),
+    # a float, but no rounded size past it is: pass 2 names it too
+    "jobs-p-at-limit-schedule": (
+        "schedule",
+        {"jobs": f"1\n{2**1023}\n1\n"},
+        "job 2: processing time must be below 2**1023, got an integer of 308 digits",
+    ),
+    "jobs-huge-p-eval": (
+        "eval",
+        {"jobs": f"1\n1\n{10**400}\n"},
+        "job 3: processing time must be below 2**1023, got an integer of 401 digits",
+    ),
     "sketch-unrounded-rp": (
         "approximate",
         {"sketch": json_with(entries=[{"rp": 1, "count": 2}, {"rp": 21, "count": 1}])},
@@ -691,6 +723,7 @@ MALFORMED = {
 }
 
 COMMANDS = {
+    "sketch": ["--jobs", "jobs", "--eps", "1.0", "--alpha0", "1.0", "--out", "out"],
     "approximate": ["--sketch", "sketch", "--profile", "profile", "--out", "out"],
     "schedule": ["--plan", "plan", "--jobs", "jobs", "--profile", "profile",
                  "--out", "out"],
@@ -723,7 +756,7 @@ def test_malformed_input_gives_one_error_line(
             content = content(paths[name].read_text())
         paths[name].write_text(content)
     capsys.readouterr()
-    args = [a if a.startswith("--") else str(paths[a]) for a in COMMANDS[command]]
+    args = [str(paths[a]) if a in paths else a for a in COMMANDS[command]]
     assert main([command, *args]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
