@@ -25,6 +25,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
+from . import budget
 from .model import (
     MachineProfile,
     require_alpha0,
@@ -38,7 +39,6 @@ from .model import (
     run_batch,
     work_to_time,
 )
-from . import budget
 from .partition import PartitionTuple, enumerate_partitions
 from .sketch import Sketch, bucket_groups
 

@@ -158,10 +158,11 @@ class Sketch:
     def from_json(cls, text: str) -> "Sketch":
         """Keys this format no longer uses (older files carry some, such as
         `tau`) are ignored; a missing key, a value of the wrong JSON kind, eps
-        or alpha0 out of range or too small for budget.tau, n or p_max below 1
-        or at or past RP_LIMIT, an entry's rp or count below 1, or counts that sum past n raise
-        ValueError naming it. So does an entry whose rp is no rounded size
-        at the sketch's tau, or at or past RP_LIMIT (see bucket_groups)."""
+        or alpha0 out of range or too small for budget.tau, n or p_max below
+        1 or at or past RP_LIMIT, an entry's rp or count below 1, or counts
+        that sum past n raise ValueError naming it. So does an entry whose
+        rp is no rounded size at the sketch's tau, or at or past RP_LIMIT
+        (see bucket_groups)."""
         obj = json.loads(text)
         require_keys(obj, _SKETCH_KEYS, "sketch JSON")
         require_numbers(obj, _SKETCH_KEYS[:-1], "sketch JSON")
