@@ -30,6 +30,7 @@ from .model import (
     MachineProfile,
     require_alpha0,
     require_at_least,
+    require_below_rp_limit,
     require_distinct_machines,
     require_integers,
     require_keys,
@@ -211,7 +212,9 @@ def plan(
     (see `prune`).
 
     eps and alpha0 must be the ones the sketch was built with. The DP is pure
-    Python, so threads cannot speed it up; parallel=True is rejected.
+    Python, so threads cannot speed it up; parallel=True is rejected. A
+    sketch whose total work sum(rp * count) is at or past RP_LIMIT, or whose
+    V comes out past the float range, raises ValueError.
     """
     if parallel:
         raise ValueError("parallel planning is not supported")
@@ -225,6 +228,9 @@ def plan(
     delta = budget.delta(eps, alpha0, len(sketch.entries))
     require_alpha0(profiles, alpha0)
     require_distinct_machines(profiles)
+    require_below_rp_limit(
+        sum(rp * c for rp, c in sketch.entries), "sketch's total work sum(rp * count)"
+    )
     m = len(profiles)
     bound = _state_bound(sketch, alpha0, delta, m)
     inv_log = 1.0 / math.log1p(delta)
@@ -254,7 +260,12 @@ def plan(
     # the keep rule; the work vectors are distinct
     entry = frontier[min(frontier, key=lambda w: (frontier[w][0], w))]
     sigma_sp = entry[0]
-    V = budget.value_factor(eps) * sigma_sp
+    factor = budget.value_factor(eps)
+    V = factor * sigma_sp
+    if not math.isfinite(V):
+        raise ValueError(
+            f"V = {factor} * sigma_S' = {sigma_sp} is past the float range"
+        )
 
     # counts[machine][group]: one split per group along the winner's parents
     splits = []

@@ -7,7 +7,6 @@ are available. tau and both thresholds come from the budget module.
 """
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from bisect import bisect_right
@@ -24,6 +23,10 @@ class EmptyStreamError(Exception):
     """The job stream contained no jobs."""
 
 
+# below this, the running threshold's 3*n_upper**2 is a finite float
+N_UPPER_LIMIT = 2**511
+
+
 @dataclass(frozen=True)
 class KnowledgeMode:
     """Optional prior knowledge about the stream.
@@ -31,17 +34,27 @@ class KnowledgeMode:
     n_upper: claimed upper bound n' with n <= n'.
     pmax_lower: claimed lower bound p' with 1 <= p' <= p_max.
     The closer the bounds, the smaller the live sketch. SketchBuilder.finalize
-    rejects a stream that breaks either claim.
+    rejects a stream that breaks either claim. n_upper from N_UPPER_LIMIT and
+    pmax_lower from RP_LIMIT raise ValueError, since the running threshold
+    would leave the float range.
     """
 
     n_upper: int | None = None
     pmax_lower: int | None = None
 
     def __post_init__(self):
-        if self.n_upper is not None and self.n_upper < 1:
-            raise ValueError("n_upper must be >= 1")
-        if self.pmax_lower is not None and self.pmax_lower < 1:
-            raise ValueError("pmax_lower must be >= 1")
+        if self.n_upper is not None:
+            if self.n_upper < 1:
+                raise ValueError("n_upper must be >= 1")
+            if self.n_upper >= N_UPPER_LIMIT:
+                raise ValueError(
+                    f"n_upper must be below 2**511, got an integer of "
+                    f"{len(str(self.n_upper))} digits"
+                )
+        if self.pmax_lower is not None:
+            if self.pmax_lower < 1:
+                raise ValueError("pmax_lower must be >= 1")
+            require_below_rp_limit(self.pmax_lower, "pmax_lower")
 
 
 # Memoized (1+tau)^k tables, keyed by tau.  Powers are built by repeated
@@ -195,10 +208,12 @@ class Sketch:
 class SketchBuilder:
     """Single-writer streaming accumulator; call observe() per job, then finalize().
 
-    Storage: a growable array indexed by bucket when a p_max lower bound is
-    known (the bucket range is bounded a priori), otherwise an ordered map
-    (dict plus min-heap of keys) with one lazy eviction of the smallest stale
-    bucket per insertion.
+    The counts live in one list indexed by bucket number, in every knowledge
+    mode; the modes only seed and raise the running threshold, which skips
+    jobs and so keeps the live sketch small. When the threshold rises, the
+    buckets whose rounded size fell below it are zeroed at once, walking a
+    low-water bucket index forward. Each bucket is zeroed at most once, so
+    over a whole stream that walk costs at most the list's length.
     """
 
     eps: float
@@ -220,19 +235,15 @@ class SketchBuilder:
         )
         pmax_seed = self.mode.pmax_lower if self.mode.pmax_lower is not None else 1
         self.p_minL = max(self._thr_coeff * pmax_seed, 1.0)
-        self._array_mode = self.mode.pmax_lower is not None
-        if self._array_mode:
-            self._counts: list[int] = [0, 0]  # indexed by bucket k, grows
-            self._occupied = 0
-        else:
-            self._store: dict[int, int] = {}
-            self._heap: list[int] = []
+        self._counts: list[int] = [0, 0]  # indexed by bucket k, grows
+        self._occupied = 0  # buckets with a nonzero count
+        self._low = 1  # every bucket below this rounds below p_minL
         # instrumentation for space/update-cost assertions
         self.max_live_size = 0
         self.max_store_ops = 0
 
     def live_size(self) -> int:
-        return self._occupied if self._array_mode else len(self._store)
+        return self._occupied
 
     def observe(self, p: int) -> None:
         self.observe_all((p,))
@@ -252,11 +263,7 @@ class SketchBuilder:
         thr_coeff = self._thr_coeff
         n, p_max, p_minL = self.n_cur, self.p_curMax, self.p_minL
         max_live, max_ops = self.max_live_size, self.max_store_ops
-        array_mode = self._array_mode
-        if array_mode:
-            counts, occupied = self._counts, self._occupied
-        else:
-            store, heap = self._store, self._heap
+        counts, occupied, low = self._counts, self._occupied, self._low
         try:
             for p in stream:
                 if p < 1:
@@ -269,6 +276,11 @@ class SketchBuilder:
                     cand = thr_coeff * p
                     if p_minL < cand:
                         p_minL = cand
+                        while low < len(counts) and rounded_value(low, tau) < p_minL:
+                            if counts[low]:
+                                counts[low] = 0
+                                occupied -= 1
+                            low += 1
                 x = float(p) if p < FLOAT_EXACT else p
                 if x < p_minL:
                     continue
@@ -277,38 +289,21 @@ class SketchBuilder:
                 else:
                     k = bucket_index(p, tau)
                     top = table[-1]
-                if array_mode:
-                    if k >= len(counts):
-                        counts.extend([0] * (k + 1 - len(counts)))
-                    c = counts[k]
-                    counts[k] = c + 1
-                    if c == 0:  # one store op per job; live size only grows
-                        occupied += 1
-                        max_ops = 1
-                        if occupied > max_live:
-                            max_live = occupied
-                else:
-                    c = store.get(k)
-                    if c is not None:  # one op, below the max the insert set
-                        store[k] = c + 1
-                        continue
-                    store[k] = 1
-                    heapq.heappush(heap, k)
-                    ops = 2
-                    kmin = heap[0]
-                    if rounded_value(kmin, tau) < p_minL:
-                        heapq.heappop(heap)
-                        del store[kmin]
-                        ops = 3
-                    if ops > max_ops:
-                        max_ops = ops
-                    if len(store) > max_live:
-                        max_live = len(store)
+                if k >= len(counts):
+                    counts.extend([0] * (k + 1 - len(counts)))
+                c = counts[k]
+                counts[k] = c + 1
+                # one store op per job: a kept job rounds to p_minL or more,
+                # so its bucket lies at or past low
+                if c == 0:
+                    occupied += 1
+                    max_ops = 1
+                    if occupied > max_live:
+                        max_live = occupied
         finally:
             self.n_cur, self.p_curMax, self.p_minL = n, p_max, p_minL
             self.max_live_size, self.max_store_ops = max_live, max_ops
-            if array_mode:
-                self._occupied = occupied
+            self._occupied, self._low = occupied, low
 
     def finalize(self) -> Sketch:
         """Raises ValueError when the stream broke a knowledge-mode promise:
@@ -328,10 +323,9 @@ class SketchBuilder:
                 f"pmax_lower {self.mode.pmax_lower}"
             )
         p_minL_final = budget.threshold(self.eps, self.alpha0, n, p_max)
-        raw = enumerate(self._counts) if self._array_mode else self._store.items()
         # buckets with equal rounded value are merged into one entry
         merged: dict[int, int] = {}
-        for k, count in raw:
+        for k, count in enumerate(self._counts):
             if count:
                 rp = rounded_value(k, self.tau)
                 merged[rp] = merged.get(rp, 0) + count

@@ -322,11 +322,11 @@ def test_criterion_8_update_cost():
     # operation counts at this scale
     rng = random.Random(23)
     stream = [rng.randint(1, 10**6) for _ in range(10**5)]
-    array = SketchBuilder(1.0, 0.5, KnowledgeMode(pmax_lower=10**5))
-    mapped = SketchBuilder(1.0, 0.5, KnowledgeMode())
+    known = SketchBuilder(1.0, 0.5, KnowledgeMode(pmax_lower=10**5))
+    unknown = SketchBuilder(1.0, 0.5, KnowledgeMode())
     for p in stream:
-        array.observe(p)
-        mapped.observe(p)
-    assert array.max_store_ops <= 1
-    assert mapped.max_store_ops <= 3
-    _announce(8, "per-job store ops <= 1 (array mode), <= 3 (map mode)")
+        known.observe(p)
+        unknown.observe(p)
+    assert known.max_store_ops <= 1
+    assert unknown.max_store_ops <= 1
+    _announce(8, "per-job store ops <= 1 (with and without a p_max lower bound)")

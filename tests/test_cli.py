@@ -11,6 +11,7 @@ from streamsched.model import (
     dump_profiles,
     flat_profile,
 )
+from streamsched.sketch import sketch_stream
 
 # written while plans still carried the planned slot starts; the jobs are
 # OLDER_JOBS on OLDER_PROFILES at eps=1, alpha0=0.5
@@ -432,8 +433,9 @@ def zero_machine_plan(text):
 
 
 PIECE = '{"end": null, "alpha": 1.0}'
-# a subcommand, the files it reads replaced by malformed ones (a string, or a
-# function of the valid file's text), and the error it must name
+# a subcommand and any arguments past its usual ones, the files it reads
+# replaced by malformed ones (a string, or a function of the valid file's
+# text), and the error it must name
 MALFORMED = {
     "profile-empty-list": (
         "eval", {"profile": "[]"}, "profile JSON must hold a non-empty list"
@@ -695,6 +697,37 @@ MALFORMED = {
         {"sketch": json_with(entries=[{"rp": 2, "count": 2}, {"rp": 2, "count": 1}])},
         "sketch JSON entry 0 (rp=2) repeats sketch JSON entry 1",
     ),
+    # knowledge bounds whose threshold would leave the float range
+    "n-upper-huge": (
+        f"sketch --n-upper {10**400}",
+        {},
+        "n_upper must be below 2**511, got an integer of 401 digits",
+    ),
+    "n-upper-squared-past-float": (
+        f"sketch --n-upper {2**600}",
+        {},
+        "n_upper must be below 2**511, got an integer of 181 digits",
+    ),
+    "pmax-lower-huge": (
+        f"sketch --pmax-lower {10**400}",
+        {},
+        "pmax_lower must be below 2**1023, got an integer of 401 digits",
+    ),
+    # each rp is below the limit, but the work they sum to, or V, is not
+    "sketch-work-past-float": (
+        "approximate",
+        {"sketch": sketch_stream([2**1022] * 5, 1.0, 1.0).to_json()},
+        "sketch's total work sum(rp * count) must be below 2**1023, got an "
+        "integer of 309 digits",
+    ),
+    "sketch-value-past-float": (
+        "approximate",
+        {
+            "sketch": sketch_stream([2**1020] * 3, 1.0, 0.5).to_json(),
+            "profile": '[{"machine": 1, "pieces": [{"end": null, "alpha": 0.5}]}]',
+        },
+        "is past the float range",
+    ),
     "profile-machine-past-int64": (
         "schedule",
         {"profile": f'[{{"machine": {2**63}, "pieces": [{PIECE}]}}]'},
@@ -756,8 +789,9 @@ def test_malformed_input_gives_one_error_line(
             content = content(paths[name].read_text())
         paths[name].write_text(content)
     capsys.readouterr()
+    command, *extra = command.split()
     args = [str(paths[a]) if a in paths else a for a in COMMANDS[command]]
-    assert main([command, *args]) == 1
+    assert main([command, *args, *extra]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert err.count("\n") == 1  # one line, no traceback

@@ -87,10 +87,17 @@ class TestObserve:
         b = SketchBuilder(1.0, 1.0, KnowledgeMode(n_upper=10))
         b.observe(3 * 10**6)
         assert b.p_minL == pytest.approx(10**4)
-        before = len(b._store)
+        before = b.live_size()
         b.observe(5)  # below threshold: skipped
-        assert len(b._store) == before
+        assert b.live_size() == before
         assert b.n_cur == 2
+
+    def test_threshold_rise_evicts_every_stale_bucket(self):
+        b = SketchBuilder(1.0, 1.0, KnowledgeMode(n_upper=10))
+        b.observe_all(range(1, 60))
+        b.observe(3 * 10**6)  # the threshold rises to 10**4
+        assert b.p_minL == pytest.approx(10**4)
+        assert b.live_size() == 1
 
     def test_skip_updates_bookkeeping_only(self):
         b = SketchBuilder(1.0, 1.0, KnowledgeMode(n_upper=2))
@@ -213,9 +220,11 @@ class TestOrderInvariance:
         ],
     )
     def test_permutations_identical(self, mode):
+        # no job falls below the threshold here, so every mode's sketch must
+        # equal the one built with no knowledge
         rng = random.Random(11)
         stream = [rng.randint(1, 500) for _ in range(200)]
-        reference = sketch_stream(stream, 1.0, 1.0, mode).to_json()
+        reference = sketch_stream(stream, 1.0, 1.0).to_json()
         for _ in range(10):
             rng.shuffle(stream)
             assert sketch_stream(stream, 1.0, 1.0, mode).to_json() == reference
@@ -227,7 +236,7 @@ class TestSpaceBounds:
 
         return math.log(x) / math.log(1 + tau)
 
-    def test_array_mode_live_size(self):
+    def test_pmax_lower_live_size(self):
         rng = random.Random(7)
         c2 = 4
         pmax_lower = 250
@@ -238,7 +247,7 @@ class TestSpaceBounds:
         assert b.max_live_size <= self._log_ratio(c2 * pmax_lower, b.tau) + 1
         assert b.max_store_ops <= 1
 
-    def test_map_mode_live_size(self):
+    def test_n_upper_live_size(self):
         rng = random.Random(8)
         n = 5000
         stream = [rng.randint(1, 10**6) for _ in range(n)]
