@@ -1,11 +1,11 @@
 """Pass 2: replay the job stream against a plan and emit a feasible schedule.
 
 Each incoming job is matched to a remaining (machine, group) slot by rounded
-processing time; when a bucket's slots are exhausted (or the job rounds below
-every group) the job joins the small pile on machine 1. Working space is an
-m-by-mu table of first-slot work coordinates, one slot cursor per group, a
-map from the buckets seen to their groups and the single in-flight job. The
-schedule itself is held as it is emitted, in the typed columns of a
+processing time; a job that rounds below every group joins the small pile on
+machine 1, and one whose group has no slot left is a stream mismatch. Working
+space is an m-by-mu table of first-slot work coordinates, one slot cursor per
+group, a map from the buckets seen to their groups and the single in-flight
+job. The schedule itself is held as it is emitted, in the typed columns of a
 Schedule: each job appends its machine, start and completion, 24 bytes, and
 the job ids 1..n, 8 bytes each, are filled in when the stream ends.
 
@@ -33,21 +33,17 @@ from .sketch import FLOAT_EXACT, bucket_groups, power_table
 
 
 class StreamMismatchError(Exception):
-    """Pass-2 job count differs from the plan's n."""
+    """Pass 2's stream is not pass 1's: another job count, or more jobs of
+    some group than it has slots."""
 
 
 @dataclass
 class EmitReport:
     small_placed: int = 0
-    # jobs that rounded into a plan bucket whose slots were already consumed;
-    # nonzero means pass 1 and pass 2 disagreed near the largeness threshold
+    # always 0, kept while the benchmark reads it: emit raises instead
     bucket_overflow: int = 0
     # small jobs that no longer fit ahead of machine 1's first large slot
     reservation_overflow: int = 0
-
-    @property
-    def mismatch(self) -> bool:
-        return self.bucket_overflow > 0
 
 
 def emit(
@@ -60,7 +56,8 @@ def emit(
     Raises ValueError when the profile count differs from the plan's,
     naming the group when a group's rp is no rounded size at the plan's
     tau, or naming the job when a processing time is at or past
-    RP_LIMIT."""
+    RP_LIMIT. Raises StreamMismatchError on another job count, or naming
+    the job and the group when a job finds its group's slots all taken."""
     if len(profiles) != len(plan.counts):
         raise ValueError(
             f"plan is for {len(plan.counts)} machines, got {len(profiles)} profiles"
@@ -110,7 +107,7 @@ def emit(
     small_cursor = 0.0
     head_limit = plan.small_reservation if any(plan.counts[0]) else math.inf
     tail_cursor = first.time_at(slot_work[0][-1])
-    small_placed = bucket_overflow = reservation_overflow = 0
+    small_placed = reservation_overflow = 0
     # the schedule's columns but job_ids, which is 1..n; see Schedule
     out_machines, out_starts, out_completions = array("q"), array("d"), array("d")
     put_machine, put_start, put_completion = (
@@ -126,11 +123,14 @@ def emit(
             g = group_of[bisect_right(table, x)] if x < top else None
             cur = None if g is None else cursor[g]
             if cur is None:
+                if g is not None:
+                    raise StreamMismatchError(
+                        f"job {job_id} (p={p}) rounds into plan group {g} "
+                        f"(rp={rps[g]}), whose {groups[g][1]} slots are all taken"
+                    )
                 # every p from RP_LIMIT up lands here, past all groups
                 if p >= RP_LIMIT:
                     require_below_rp_limit(p, f"job {job_id}: processing time")
-                if g is not None:
-                    bucket_overflow += 1
                 profile = first
                 start = small_cursor
                 completion = work_to_time(profile, start, fp)
@@ -173,7 +173,7 @@ def emit(
         raise
     if job_id != plan.n:
         raise StreamMismatchError(f"pass 2 saw {job_id} jobs, plan expects {plan.n}")
-    report = EmitReport(small_placed, bucket_overflow, reservation_overflow)
+    report = EmitReport(small_placed, 0, reservation_overflow)
     job_ids = array("q", range(1, job_id + 1))
     schedule = Schedule.from_columns(
         job_ids, out_machines, out_starts, out_completions

@@ -6,7 +6,7 @@ plan or emit, never per job or per state.
 
   tau   = eps*alpha0/15                 bucket ratio 1+tau of the rounding
   theta = eps*alpha0*p_max/(3 n^2)      largeness threshold; the running
-                                        one is eps*alpha0*p/(3 n'^2)
+                                        one is theta at (n', p)
   delta = eps*alpha0/(24 mu)            partition ladder and prune ratio 1+delta
   V     = (1+eps/3)(1+eps/15)*sigma_S'  the value pass 1 reports
   R     = G_1^-1(n_s*theta)             machine 1's small-job reservation
@@ -57,10 +57,10 @@ The chain, one factor per step:
    condition of Woeginger's DP-to-FPTAS framework (INFORMS J. Computing
    12(1), 2000). So sigma_S' <= e^(eps/24) e^(eps/8) OPT(S').
 
-4. Small jobs, factor 1 + eps/3 (proved). A job is outside the sketch when
-   pass 1 skipped it below the running threshold, which never exceeds
-   theta (up to the rounding of the two float forms), or when its rounded
-   size is at most theta; either way p <= theta.
+4. Small jobs, factor 1 + eps/3 (proved). A job is outside the sketch iff
+   its rp <= theta, so p <= theta. Pass 1 skips only jobs whose rp lies
+   below the running threshold, theta at (n', p) in the same float form,
+   each of whose steps is monotone, so it never exceeds theta.
    The n_s of them hold at most n_s*theta work, which fits in machine 1's
    reservation R. Machine 1's slots start after that work, so each of its
    at most n - n_s large jobs completes at most n_s*theta/alpha0 later than
@@ -69,17 +69,16 @@ The chain, one factor per step:
    completes no later than its slot ends. Together this adds at most
    n*n_s*theta/alpha0 = (n_s/n) eps p_max/3 <= (eps/3) sigma_S'. The largest
    job is always in the sketch, and completes no earlier than its rp >=
-   p_max, so p_max <= sigma_S'. Hence sigma <= (1 + eps/3) sigma_S'. This
-   holds for the emitted schedule when pass 2 reports no bucket overflow;
-   with overflow, giving each sketched job its slot still yields such a
-   schedule, so OPT <= (1 + eps/3) sigma_S' always.
+   p_max, so p_max <= sigma_S'. Hence OPT <= sigma <= (1 + eps/3) sigma_S'.
+   The sketch counts every job of each rp above theta, so pass 2 has a
+   slot for each; a job that finds none left means another stream.
 
 The sandwich:
 
   OPT <= (1 + eps/3) sigma_S' <= V                            (step 4)
   V <= (1+eps/3)(1+eps/15) e^(eps/24) e^(eps/8) (1+eps/15) OPT (steps 1-3)
     =  (1+eps/3)(1+eps/15)^2 e^(eps/6) OPT <= (1+eps) OPT
-  sigma <= (1 + eps/3) sigma_S' <= V <= (1+eps) OPT            (no overflow)
+  sigma <= (1 + eps/3) sigma_S' <= V <= (1+eps) OPT
 
 The last inequality holds on (0, 1]: ln(1+eps) - ln((1+eps/3)(1+eps/15)^2)
 - eps/6 is concave there, 0 at eps = 0 and 0.11 at eps = 1, where the bound
@@ -105,16 +104,9 @@ def tau(eps: float, alpha0: float) -> float:
     return t
 
 
-def threshold_coeff(eps: float, alpha0: float, n_upper: int | None) -> float:
-    """The running largeness threshold's factor on the largest job so far,
-    eps*alpha0/(3 n'^2); 0 when no job-count bound n' is known."""
-    if n_upper is None:
-        return 0.0
-    return eps * alpha0 / (3.0 * n_upper**2)
-
-
 def threshold(eps: float, alpha0: float, n: int, p_max: int) -> float:
-    """theta = eps*alpha0*p_max/(3 n^2): a sketch keeps only rp above it."""
+    """theta = eps*alpha0*p_max/(3 n^2): a sketch keeps only rp above it.
+    At (n', p) it is pass 1's running threshold, never above theta."""
     return eps * alpha0 * p_max / (3.0 * n * n)
 
 

@@ -130,16 +130,10 @@ def main(argv=None) -> int:
             with open(args.plan) as fh:
                 pl = planner.Plan.from_json(fh.read())
             profiles = model.load_profiles(args.profile)
-            schedule, report = assigner.emit(
+            schedule, _report = assigner.emit(
                 pl, sketch_mod.iter_job_stream(args.jobs), profiles
             )
             model.write_schedule_csv(schedule, args.out)
-            if report.mismatch:
-                print(
-                    f"warning: {report.bucket_overflow} jobs overflowed their "
-                    "sketch bucket",
-                    file=sys.stderr,
-                )
         elif args.command == "oracle":
             instance = _load_instance(args.jobs, args.profile)
             result = oracle.brute_force_opt(instance)

@@ -1,9 +1,9 @@
 """One-pass streaming construction of the rounded large-job summary.
 
-Jobs are geometrically bucketed with ratio (1+tau). Jobs below a running
-largeness threshold are skipped; the threshold depends on which of the
-prior-knowledge inputs (job-count upper bound, max-processing lower bound)
-are available. tau and both thresholds come from the budget module.
+Jobs are geometrically bucketed with ratio (1+tau). A job whose bucket
+rounds below a running largeness threshold, never above the final one, is
+skipped, so every knowledge mode gives the sketch of no knowledge. tau and
+both thresholds come from the budget module.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ class EmptyStreamError(Exception):
     """The job stream contained no jobs."""
 
 
-# below this, the running threshold's 3*n_upper**2 is a finite float
+# below this, the running threshold's 3.0*n_upper*n_upper is a finite float
 N_UPPER_LIMIT = 2**511
 
 
@@ -33,6 +33,8 @@ class KnowledgeMode:
 
     n_upper: claimed upper bound n' with n <= n'.
     pmax_lower: claimed lower bound p' with 1 <= p' <= p_max.
+    n_upper sets the running threshold and pmax_lower seeds it. Alone,
+    pmax_lower skips nothing: there is no running threshold without n_upper.
     The closer the bounds, the smaller the live sketch. SketchBuilder.finalize
     rejects a stream that breaks either claim. n_upper from N_UPPER_LIMIT and
     pmax_lower from RP_LIMIT raise ValueError, since the running threshold
@@ -212,8 +214,8 @@ class SketchBuilder:
     mode; the modes only seed and raise the running threshold, which skips
     jobs and so keeps the live sketch small. When the threshold rises, the
     buckets whose rounded size fell below it are zeroed at once, walking a
-    low-water bucket index forward. Each bucket is zeroed at most once, so
-    over a whole stream that walk costs at most the list's length.
+    low-water bucket index forward, which also skips every job below it.
+    Over a whole stream that walk costs at most the buckets below theta.
     """
 
     eps: float
@@ -229,21 +231,33 @@ class SketchBuilder:
         _power(self.tau, 1)  # prime the table
         self.n_cur = 0
         self.p_curMax = 0
-        # the running threshold is this times the largest job so far
-        self._thr_coeff = budget.threshold_coeff(
-            self.eps, self.alpha0, self.mode.n_upper
-        )
-        pmax_seed = self.mode.pmax_lower if self.mode.pmax_lower is not None else 1
-        self.p_minL = max(self._thr_coeff * pmax_seed, 1.0)
+        self.p_minL = 0.0  # the running threshold; 0 while there is none
         self._counts: list[int] = [0, 0]  # indexed by bucket k, grows
         self._occupied = 0  # buckets with a nonzero count
         self._low = 1  # every bucket below this rounds below p_minL
+        if self.mode.n_upper is not None and self.mode.pmax_lower is not None:
+            self._raise_threshold(self.mode.pmax_lower, 0)
         # instrumentation for space/update-cost assertions
         self.max_live_size = 0
         self.max_store_ops = 0
 
     def live_size(self) -> int:
         return self._occupied
+
+    def _raise_threshold(self, p: int, occupied: int) -> int:
+        """Raise p_minL to theta at (n_upper, p), which never exceeds the
+        final theta, and walk low, past the counts list if need be, to the
+        first bucket that rounds to p_minL or more, zeroing the buckets it
+        passes. Returns the occupied count after that."""
+        thr = budget.threshold(self.eps, self.alpha0, self.mode.n_upper, p)
+        if thr > self.p_minL:
+            self.p_minL, counts = thr, self._counts
+            while rounded_value(self._low, self.tau) < thr:
+                if self._low < len(counts) and counts[self._low]:
+                    counts[self._low] = 0
+                    occupied -= 1
+                self._low += 1
+        return occupied
 
     def observe(self, p: int) -> None:
         self.observe_all((p,))
@@ -260,10 +274,10 @@ class SketchBuilder:
         tau = self.tau
         table = power_table(tau, 1)
         top = table[-1]
-        thr_coeff = self._thr_coeff
-        n, p_max, p_minL = self.n_cur, self.p_curMax, self.p_minL
+        n, p_max = self.n_cur, self.p_curMax
         max_live, max_ops = self.max_live_size, self.max_store_ops
-        counts, occupied, low = self._counts, self._occupied, self._low
+        counts, occupied = self._counts, self._occupied
+        skip_below = table[self._low - 1]  # the p whose bucket lies below low
         try:
             for p in stream:
                 if p < 1:
@@ -273,16 +287,11 @@ class SketchBuilder:
                     if p >= RP_LIMIT:
                         require_below_rp_limit(p, f"job {n}: processing time")
                     p_max = p
-                    cand = thr_coeff * p
-                    if p_minL < cand:
-                        p_minL = cand
-                        while low < len(counts) and rounded_value(low, tau) < p_minL:
-                            if counts[low]:
-                                counts[low] = 0
-                                occupied -= 1
-                            low += 1
+                    if self.mode.n_upper is not None:
+                        occupied = self._raise_threshold(p, occupied)
+                        skip_below = table[self._low - 1]
                 x = float(p) if p < FLOAT_EXACT else p
-                if x < p_minL:
+                if x < skip_below:
                     continue
                 if x < top:
                     k = bisect_right(table, x)
@@ -301,9 +310,9 @@ class SketchBuilder:
                     if occupied > max_live:
                         max_live = occupied
         finally:
-            self.n_cur, self.p_curMax, self.p_minL = n, p_max, p_minL
+            self.n_cur, self.p_curMax = n, p_max
             self.max_live_size, self.max_store_ops = max_live, max_ops
-            self._occupied, self._low = occupied, low
+            self._occupied = occupied
 
     def finalize(self) -> Sketch:
         """Raises ValueError when the stream broke a knowledge-mode promise:

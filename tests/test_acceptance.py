@@ -93,15 +93,11 @@ def test_criterion_1_approximation_sandwich(instance_batch):
 
 def test_criterion_2_two_pass_schedule_quality(instance_batch):
     runs, _ = instance_batch
-    mismatches = 0
     for r in runs:
         sigma = evaluate_schedule(r["inst"], r["schedule"])  # also feasibility
         assert sigma <= (1 + r["eps"]) * r["opt"] * (1 + REL)
-        if r["report"].mismatch:
-            mismatches += 1
-        else:
-            assert sigma <= r["plan"].V * (1 + REL)
-    _announce(2, f"{len(runs)} emitted schedules feasible, {mismatches} mismatches")
+        assert sigma <= r["plan"].V * (1 + REL)
+    _announce(2, f"{len(runs)} emitted schedules feasible, sigma <= V")
 
 
 def _fast_then_slow(rng, alpha0, machine_index):
@@ -143,7 +139,7 @@ def _small_alpha0_batch():
 def test_sandwich_at_small_alpha0():
     t_start = time.monotonic()
     cases = _small_alpha0_batch()
-    mismatches = small = 0
+    small = 0
     for jobs, profiles, eps, alpha0 in cases:
         sk = sketch_stream(jobs, eps, alpha0)
         pl = plan(sk, profiles, eps, alpha0)
@@ -155,10 +151,7 @@ def test_sandwich_at_small_alpha0():
         assert opt <= pl.V * (1 + REL), case
         assert pl.V <= (1 + eps) * opt * (1 + REL), case
         assert sigma <= (1 + eps) * opt * (1 + REL), case
-        if report.mismatch:
-            mismatches += 1
-        else:
-            assert sigma <= pl.V * (1 + REL), case
+        assert sigma <= pl.V * (1 + REL), case
         small += report.small_placed
     # the eleven-job case: nothing is small, so nothing is reserved and the
     # schedule is optimal
@@ -168,8 +161,7 @@ def test_sandwich_at_small_alpha0():
     assert elapsed < 10.0
     _announce(
         "small alpha0",
-        f"{len(cases)} instances, {small} small jobs, {mismatches} mismatches, "
-        f"{elapsed:.1f}s",
+        f"{len(cases)} instances, {small} small jobs, sigma <= V, {elapsed:.1f}s",
     )
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import tracemalloc
@@ -86,7 +87,7 @@ class TestEmit:
         sigma = sum(completions)
         assert sigma == pytest.approx(7)
         assert sigma <= pl.V
-        assert not report.mismatch
+        assert report.small_placed == 0
 
     def test_small_jobs_in_arrival_order(self, unit_profile):
         # only p=100 survives the sketch; the two unit jobs are small
@@ -104,13 +105,11 @@ class TestEmit:
         profiles = (flat_profile(1.0, 1), flat_profile(0.5, 2))
         stream = [rng.randint(1, 30) for _ in range(8)]
         pl = build_plan(stream, profiles, eps=0.5, alpha0=0.5)
-        base, rep0 = emit(pl, stream, profiles)
+        base, _ = emit(pl, stream, profiles)
         sigma0 = sum(p.completion for p in base.placements)
-        assert not rep0.mismatch
         for _ in range(5):
             rng.shuffle(stream)
-            sched, rep = emit(pl, stream, profiles)
-            assert not rep.mismatch
+            sched, _ = emit(pl, stream, profiles)
             assert sum(p.completion for p in sched.placements) == pytest.approx(sigma0)
 
     def test_permuted_stream_feasible_on_varying_profiles(self):
@@ -121,8 +120,7 @@ class TestEmit:
         jobs_sorted = sorted(stream)
         for _ in range(5):
             rng.shuffle(stream)
-            sched, rep = emit(pl, stream, profiles)
-            assert not rep.mismatch
+            sched, _ = emit(pl, stream, profiles)
             jobs = tuple(Job(i + 1, p) for i, p in enumerate(stream))
             inst = Instance(profiles, jobs, 0.5)
             sigma = evaluate_schedule(inst, sched)
@@ -151,11 +149,10 @@ class TestEmit:
         stream = [5, 9, 9, 14, 20]
         pl = build_plan(stream, (flat_profile(1.0, 1),), eps=1.0, alpha0=0.5)
         slow = (flat_profile(0.5, 1),)
-        sched, report = emit(pl, stream, slow)
+        sched, _ = emit(pl, stream, slow)
         jobs = tuple(Job(i + 1, p) for i, p in enumerate(stream))
         sigma = evaluate_schedule(Instance(slow, jobs, 0.5), sched)
         assert sigma == pytest.approx(sum(p.completion for p in sched.placements))
-        assert not report.mismatch
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_profile_count_must_match_plan(self, m):
@@ -171,7 +168,7 @@ class TestEmit:
             pl = build_plan(stream, profiles, alpha0=0.75)
             assert len(pl.groups) == 2  # t - 1 and t round apart
             _, report = assert_large_jobs_match_reference(pl, stream, profiles)
-            assert report.small_placed == 0 and not report.mismatch
+            assert report.small_placed == 0
 
     def test_many_pieces_two_machines_shuffled(self):
         rng = random.Random(31)
@@ -189,7 +186,7 @@ class TestEmit:
         for _ in range(4):
             rng.shuffle(stream)
             sched, report = assert_large_jobs_match_reference(pl, stream, profiles)
-            assert report.small_placed == 3 and not report.mismatch
+            assert report.small_placed == 3
             # the slots reach deep into both 600-piece profiles
             for profile in profiles:
                 last = max(
@@ -214,7 +211,7 @@ class TestEmit:
         for _ in range(4):
             rng.shuffle(stream)
             sched, report = assert_large_jobs_match_reference(pl, stream, profiles)
-            assert report.small_placed == 0 and not report.mismatch
+            assert report.small_placed == 0
             kinds = set()
             for pj in sched.placements:
                 prof = by_machine[pj.machine_index]
@@ -242,20 +239,22 @@ def hand_plan(groups, counts, n, small_reservation=0.0):
 
 class TestHandBuiltPlans:
     def test_overflow_past_the_reservation_goes_to_the_tail(self):
-        # the second job finds its bucket's only slot taken, and at 14 time
-        # units it cannot fit in the 0.01 reservation ahead of that slot
+        # the second job rounds below the plan's only group, so it is small,
+        # and at 6 time units it cannot fit in the 0.01 reservation ahead of
+        # the group's slot
         tau = 1 / 30
         rp = rounded_value(bucket_index(7, tau), tau)
         pl = hand_plan(((rp, 1),), ((1,),), 2, small_reservation=0.01)
         profiles = (flat_profile(0.5),)
-        sched, report = emit(pl, [rp, rp], profiles)
-        assert report.bucket_overflow == 1
+        sched, report = emit(pl, [rp, 3], profiles)
+        assert report.small_placed == 1
         assert report.reservation_overflow == 1
         first, second = sched.placements
         assert first.start == pytest.approx(0.01)
         assert second.start == pytest.approx(first.completion)
         assert second.start == pytest.approx(14.01)
-        jobs = (Job(1, rp), Job(2, rp))
+        assert second.completion == pytest.approx(20.01)
+        jobs = (Job(1, rp), Job(2, 3))
         sigma = evaluate_schedule(Instance(profiles, jobs, 0.5), sched)
         assert sigma == pytest.approx(first.completion + second.completion)
 
@@ -271,7 +270,7 @@ class TestHandBuiltPlans:
             CapacityInterval(1.4781709706385704, math.inf, 0.9579724058654906),
         ))
         sched, report = emit(pl, [3] * 2000, (profile,))
-        assert not report.mismatch and report.small_placed == 0
+        assert report.small_placed == 0
         jobs = tuple(Job(i, 3) for i in range(1, 2001))
         sigma = evaluate_schedule(Instance((profile,), jobs, 0.5), sched)
         assert sigma == pytest.approx(sum(p.completion for p in sched.placements))
@@ -279,21 +278,44 @@ class TestHandBuiltPlans:
 
 class TestThresholdBoundary:
     def test_mismatch_stays_feasible_and_bounded(self, unit_profile):
-        # With a job-count bound the largeness threshold moves during pass 1,
-        # so a borderline job can be counted in one order and skipped in
-        # another. Pass 2 then overflows the bucket; the overflow job must
-        # land in the small pile and the schedule must stay feasible.
+        # With a job-count bound the largeness threshold moves during pass 1:
+        # it is 1040/27 once 1040 has arrived. 38 lies below it but rounds to
+        # 39 above it, so it counts in every order, and pass 2 finds each
+        # large job a slot whatever order either pass reads.
         mode = KnowledgeMode(n_upper=3)
         eps = alpha0 = 1.0
-        pass1 = [39, 1040, 38]  # 38 arrives after the threshold rose past it
-        pl = build_plan(pass1, (unit_profile,), eps, alpha0, mode)
-        sched, report = emit(pl, [38, 39, 1040], (unit_profile,))
-        assert report.bucket_overflow == 1
-        jobs = (Job(1, 38), Job(2, 39), Job(3, 1040))
-        inst = Instance((unit_profile,), jobs, alpha0)
-        sigma = evaluate_schedule(inst, sched)
+        inst = Instance(
+            (unit_profile,), (Job(1, 38), Job(2, 39), Job(3, 1040)), alpha0
+        )
         opt = brute_force_opt(inst).opt_value
-        assert sigma <= (1 + eps) * opt * (1 + 1e-9)
+        for pass1 in itertools.permutations([39, 1040, 38]):
+            pl = build_plan(list(pass1), (unit_profile,), eps, alpha0, mode)
+            sched, report = emit(pl, [38, 39, 1040], (unit_profile,))
+            assert report.small_placed == 0
+            sigma = evaluate_schedule(inst, sched)
+            assert sigma <= pl.V * (1 + 1e-9)
+            assert sigma <= (1 + eps) * opt * (1 + 1e-9)
+        # a replay of the same length but another multiset is not the
+        # stream pass 1 sketched: the plan has one slot of rp 2, and a
+        # second job of 2 finds it taken
+        pl = build_plan([1, 1, 2], (unit_profile,))
+        message = (
+            r"^job 3 \(p=2\) rounds into plan group 1 \(rp=2\), whose 1 slots "
+            r"are all taken$"
+        )
+        with pytest.raises(StreamMismatchError, match=message):
+            emit(pl, [1, 2, 2], (unit_profile,))
+
+    def test_job_after_the_threshold_rise_keeps_its_slot(self, unit_profile):
+        # the second 99 arrives once the threshold is 2700/27 = 100, but it
+        # rounds to 104 like the first, so the sketch counts both and pass 2
+        # finds each a slot
+        stream = [99, 2700, 99]
+        sk = sketch_stream(stream, 1.0, 1.0, KnowledgeMode(n_upper=3))
+        assert sk.entries == ((104, 2), (2802, 1))
+        pl = plan(sk, (unit_profile,), 1.0, 1.0)
+        _, report = emit(pl, stream, (unit_profile,))
+        assert report.small_placed == 0
 
 
 def test_emit_holds_at_most_40_bytes_per_job():

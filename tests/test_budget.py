@@ -55,13 +55,17 @@ def test_small_jobs_cost_at_most_a_third_of_eps(n, p_max):
 
 
 def test_running_threshold_stays_below_the_final_one():
-    # with n' >= n and p <= p_max, up to the float rounding of the two forms
+    # theta at (n', p) with n' >= n and p <= p_max: every float step is
+    # monotone, so it is at most theta at (n, p_max) exactly; with n = 2 and
+    # p_max = 12, theta is the integer 1 at eps = alpha0 = 1
+    assert budget.threshold(1.0, 1.0, 2, 12) == 1.0
     for eps, alpha0 in itertools.product(EPS, ALPHA0):
-        for n, extra, p_max in itertools.product((1, 3, 1000), (0, 1, 50), (1, 999, 10**6)):
-            coeff = budget.threshold_coeff(eps, alpha0, n + extra)
+        for n, extra, p_max in itertools.product(
+            (1, 2, 3, 1000), (0, 1, 50), (1, 12, 999, 10**6)
+        ):
             final = budget.threshold(eps, alpha0, n, p_max)
-            assert coeff * p_max <= final * (1.0 + 1e-15)
-    assert budget.threshold_coeff(1.0, 1.0, None) == 0.0
+            for p in {1, p_max // 2 or 1, p_max - 1 or 1, p_max}:
+                assert budget.threshold(eps, alpha0, n + extra, p) <= final
 
 
 def test_tau_rejects_a_ratio_that_rounds_to_one():

@@ -258,6 +258,29 @@ class TestSubcommands:
         assert rc == 1
         assert "plan is for 2 machines, got 1 profiles" in capsys.readouterr().err
 
+    def test_schedule_of_another_multiset_fails_without_output(
+        self, reference_files, tmp_path, capsys
+    ):
+        # the plan of [1, 1, 2] has one slot of rp 2; [1, 2, 2] has the same
+        # length, but its second 2 finds that slot taken
+        jobs, profile = reference_files
+        plan_out = sketch_and_plan(tmp_path, jobs, profile)
+        other = tmp_path / "other.txt"
+        write_jobs(other, [1, 2, 2])
+        out = tmp_path / "s.csv"
+        rc = main(
+            [
+                "schedule", "--plan", str(plan_out), "--jobs", str(other),
+                "--profile", str(profile), "--out", str(out),
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: job 3 (p=2) rounds into plan group 1 (rp=2), whose 1 slots "
+            "are all taken\n"
+        )
+        assert not out.exists()
+
     def test_infeasible_schedule_detected(self, tmp_path, capsys):
         jobs = tmp_path / "jobs.txt"
         write_jobs(jobs, [2, 2])

@@ -244,7 +244,7 @@ class TestPlan:
         jobs = (Job(1, 1), Job(2, 1), Job(3, 2))
         sigma = evaluate_schedule(Instance((unit_profile,), jobs, 1.0), schedule)
         assert sigma == pytest.approx(7 + 2 / 3)
-        assert not report.mismatch
+        assert report.small_placed == 0
 
 
 def _random_case(seed, n, m, eps, alpha0, max_p):

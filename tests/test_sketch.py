@@ -229,6 +229,38 @@ class TestOrderInvariance:
             rng.shuffle(stream)
             assert sketch_stream(stream, 1.0, 1.0, mode).to_json() == reference
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("eps, alpha0", [(1.0, 1.0), (0.5, 0.3)])
+    def test_orders_where_the_threshold_skips_jobs(self, seed, eps, alpha0):
+        # n_upper = n and log-uniform sizes: some jobs round to at most the
+        # final threshold, so the running one skips jobs, and every order
+        # must still give the sketch built with no knowledge
+        rng = random.Random(seed)
+        n = 100
+        stream = [int(10 ** (6 * rng.random())) for _ in range(n)]
+        p_max = max(stream)
+        sk = sketch_stream(stream, eps, alpha0)
+        assert sum(count for _rp, count in sk.entries) < n
+        reference = sk.to_json()
+        shuffled = stream[:]
+        rng.shuffle(shuffled)
+        orders = (sorted(stream), sorted(stream, reverse=True), shuffled)
+        for mode in (
+            KnowledgeMode(n_upper=n),
+            KnowledgeMode(n_upper=n, pmax_lower=p_max),
+        ):
+            for order in orders:
+                assert sketch_stream(order, eps, alpha0, mode).to_json() == reference
+
+    def test_job_below_the_threshold_that_rounds_above_it_counts(self):
+        # with n_upper=2 the threshold is 100 once 1200 has arrived; 99 lies
+        # below it but rounds to 104, above it, so it counts in either order
+        reference = sketch_stream([1200, 99], 1.0, 1.0)
+        assert reference.entries == ((104, 1), (1211, 1))
+        mode = KnowledgeMode(n_upper=2)
+        for stream in ([1200, 99], [99, 1200]):
+            assert sketch_stream(stream, 1.0, 1.0, mode) == reference
+
 
 class TestSpaceBounds:
     def _log_ratio(self, x, tau):
