@@ -2,12 +2,13 @@
 
 Each incoming job is matched to a remaining (machine, group) slot by rounded
 processing time; a job that rounds below every group joins the small pile on
-machine 1, and one whose group has no slot left is a stream mismatch. Working
-space is an m-by-mu table of first-slot work coordinates, one slot cursor per
-group, a map from the buckets seen to their groups and the single in-flight
-job. The schedule itself is held as it is emitted, in the typed columns of a
-Schedule: each job appends its machine, start and completion, 24 bytes, and
-the job ids 1..n, 8 bytes each, are filled in when the stream ends.
+machine 1, and any other job that finds no slot left, in its group or in none,
+is a stream mismatch. Working space is an m-by-mu table of first-slot work
+coordinates, one slot cursor per group, a map from the buckets seen to their
+groups and the single in-flight job. The schedule itself is held as it is
+emitted, in the typed columns of a Schedule: each job appends its machine,
+start and completion, 24 bytes, and the job ids 1..n, 8 bytes each, are
+filled in when the stream ends.
 
 Large jobs start exactly at their slot time. The slots are laid out on the
 profiles pass 2 is given, and a job's true length never exceeds the rounded
@@ -33,8 +34,8 @@ from .sketch import FLOAT_EXACT, bucket_groups, power_table
 
 
 class StreamMismatchError(Exception):
-    """Pass 2's stream is not pass 1's: another job count, or more jobs of
-    some group than it has slots."""
+    """Pass 2's stream is not pass 1's: another job count, or a job too
+    large to be small that finds no slot left in its group, or no group."""
 
 
 @dataclass
@@ -57,7 +58,8 @@ def emit(
     naming the group when a group's rp is no rounded size at the plan's
     tau, or naming the job when a processing time is at or past
     RP_LIMIT. Raises StreamMismatchError on another job count, or naming
-    the job and the group when a job finds its group's slots all taken."""
+    the job, and its group if any, when a job too large to be small finds
+    no slot."""
     if len(profiles) != len(plan.counts):
         raise ValueError(
             f"plan is for {len(plan.counts)} machines, got {len(profiles)} profiles"
@@ -71,6 +73,8 @@ def emit(
     group_of = bucket_groups(rps, tau, "plan group")
     table = power_table(tau, len(group_of))
     top = table[len(group_of) - 1]  # the p below it have a bucket in group_of
+    # a small job rounds to theta or less, below every group's rp
+    low = table[group_of.index(0) - 1] if groups else math.inf
     # slot_work[i][g]: the work machine i has delivered when its first slot
     # of group g starts. Groups run back to back in size order, machine 1's
     # after the small-job reservation at its head; the extra last entry is
@@ -123,14 +127,16 @@ def emit(
             g = group_of[bisect_right(table, x)] if x < top else None
             cur = None if g is None else cursor[g]
             if cur is None:
-                if g is not None:
-                    raise StreamMismatchError(
-                        f"job {job_id} (p={p}) rounds into plan group {g} "
-                        f"(rp={rps[g]}), whose {groups[g][1]} slots are all taken"
-                    )
                 # every p from RP_LIMIT up lands here, past all groups
                 if p >= RP_LIMIT:
                     require_below_rp_limit(p, f"job {job_id}: processing time")
+                if x >= low:  # too large to be small, and no slot is left
+                    where = (
+                        f"into plan group {g} (rp={rps[g]}), whose {groups[g][1]} "
+                        "slots are all taken" if g is not None else
+                        f"to no plan group, but not below the smallest (rp={rps[0]})"
+                    )
+                    raise StreamMismatchError(f"job {job_id} (p={p}) rounds {where}")
                 profile = first
                 start = small_cursor
                 completion = work_to_time(profile, start, fp)

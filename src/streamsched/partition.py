@@ -19,14 +19,14 @@ def _check(b: int, delta: float) -> None:
 
 
 def ladder_values(b: int, delta: float) -> list[int]:
-    """{0} plus the distinct floors of (1+delta)^q that are <= b, ascending."""
+    """{0} plus the distinct floors of (1+delta)^q that are <= b, ascending.
+    These are all of 0..b when b*delta < 1/2: times 1+delta, a power below b
+    grows by less than 1/2 (float rounding included), so no floor is skipped."""
     _check(b, delta)
-    values = [0]
-    power = 1.0
-    while True:
-        v = int(power)
-        if v > b:
-            break
+    if b * delta < 0.5:
+        return list(range(b + 1))
+    values, power = [0], 1.0
+    while (v := int(power)) <= b:
         if v != values[-1]:
             values.append(v)
         power *= 1.0 + delta

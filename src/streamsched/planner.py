@@ -4,10 +4,11 @@ Groups (one per distinct rounded processing time) are appended in ascending
 order. A state is a per-machine work vector w and the total completion time
 sigma: jobs on machine i run back to back from time 0, so a job that ends
 after x more work there completes at G_i^-1(w_i + x), G_i(t) being the work
-the machine delivers by time t. After each group, states with equal work are
-merged, then one is kept per class of equal per-machine work buckets (ratio
-1+delta). One keep rule decides both and the final pick: the lower sigma
-wins, then the lower work vector, then the state that arrived first.
+the machine delivers by time t. Each expansion of a group goes straight into
+one dict keyed by its class of equal per-machine work buckets (ratio
+1+delta), which keeps one state per class. One keep rule decides each insert
+and the final pick: the lower sigma wins, then the lower work vector, then
+the state that arrived first.
 
 Unlike the paper's, the classes leave sigma out, at no cost to its bound. A
 kept A and a dropped B in one class have sigma(A) <= sigma(B) and each
@@ -24,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from operator import getitem, itemgetter
 
 from . import budget
 from .model import (
@@ -40,7 +42,7 @@ from .model import (
     run_batch,
     work_to_time,
 )
-from .partition import PartitionTuple, enumerate_partitions
+from .partition import enumerate_partitions
 from .sketch import Sketch, bucket_groups
 
 ZERO = "Z"  # signature symbol for an empty machine (log of 0 is undefined)
@@ -54,50 +56,51 @@ class FrontierBoundError(Exception):
     """A group's surviving frontier exceeds the bucket-count bound."""
 
 
-def append_group(
-    work: tuple, sigma: float, rp: int, part: PartitionTuple,
-    profiles: tuple[MachineProfile, ...], memo: dict,
-) -> tuple[tuple, float]:
-    """Extend a partial schedule, given as its per-machine work tuple and its
-    total completion time, with one group split across machines.
-
-    `memo` maps (machine, work, count) to the batch's added completion time;
-    the batch starts where the machine's work runs out. The key leaves out
-    rp, so a memo serves one group only."""
-    work = list(work)
-    for i, count in enumerate(part):
-        if count == 0:
-            continue
-        key = (i, work[i], count)
-        dsigma = memo.get(key)
-        if dsigma is None:
-            finish = work_to_time(profiles[i], 0.0, work[i])
-            dsigma = run_batch(profiles[i], finish, count, float(rp))
-            memo[key] = dsigma
-        sigma += dsigma
-        work[i] += count * rp
-    return tuple(work), sigma
+def _coordinate(w: float, inv_log: float):
+    """A machine's signature entry, its work's bucket; inv_log = 1/log1p(delta)."""
+    return math.floor(math.log(w) * inv_log) if w > 0.0 else ZERO
 
 
 def signature(work: tuple[float, ...], inv_log: float):
-    """Per-machine geometric bucket indices of the work; inv_log is
-    1/log1p(delta)."""
-    return tuple(math.floor(math.log(w) * inv_log) if w > 0.0 else ZERO for w in work)
+    """Per-machine geometric bucket indices of the work."""
+    return tuple(_coordinate(w, inv_log) for w in work)
 
 
-def prune(frontier: dict, inv_log: float) -> dict:
-    """One representative per work signature, chosen by the keep rule.
-
-    A frontier maps each work vector to its state's (sigma, part, parent)
-    entry, the parent being the entry it extends; the result is one too."""
-    best: dict[tuple, tuple] = {}  # signature -> (sigma, work) of the keeper
-    for work, entry in frontier.items():
-        key = signature(work, inv_log)
-        cand = (entry[0], work)
-        cur = best.get(key)
-        if cur is None or cand < cur:
-            best[key] = cand
-    return {work: frontier[work] for _sigma, work in best.values()}
+def expand_group(
+    frontier: dict, rp: int, parts, profiles: tuple[MachineProfile, ...],
+    inv_log: float,
+) -> dict:
+    """The next frontier, which maps each state's work signature to the
+    state (sigma, work, part, prev): part splits the last group and prev is
+    the (part, prev) pair of the state it extends, (None, None) at the empty
+    schedule, so no ancestor holds a work vector. Every split in `parts` of a
+    group of size rp extends every state, straight into the new dict under
+    the keep rule, so keepers come out in their signatures' arrival order.
+    Memo rows: (machine, work) -> {count: (added completion time of a batch
+    started where that work runs out, new work, its signature entry)}."""
+    cols = [{part[i] for part in parts} - {0} for i in range(len(profiles))]
+    memos = [{} for _ in profiles]
+    best: dict[tuple, tuple] = {}
+    for sig, state in frontier.items():
+        sigma, rows, prev = state[0], [], state[2:]
+        for i, w in enumerate(state[1]):
+            row = memos[i].get(w)
+            if row is None:
+                finish = work_to_time(profiles[i], 0.0, w)
+                row = memos[i][w] = {0: (0.0, w, sig[i])}
+                for c in cols[i]:
+                    x, dsigma = w + c * rp, run_batch(profiles[i], finish, c, float(rp))
+                    row[c] = (dsigma, x, _coordinate(x, inv_log))
+            rows.append(row)
+        for part in parts:
+            dsigmas, nw, key = zip(*map(getitem, rows, part))
+            ns = sigma
+            for d in dsigmas:
+                ns += d
+            cur = best.get(key)
+            if cur is None or ns < cur[0] or ns == cur[0] and nw < cur[1]:
+                best[key] = (ns, nw, part, prev)
+    return best
 
 
 # the numbers, then the two lists
@@ -206,10 +209,9 @@ def plan(
 ) -> Plan:
     """Run the DP over the sketch and package the best surviving schedule.
 
-    Each group's expansions are merged by exact work vector, which loses
-    nothing, then pruned to one per work signature (see the module
-    docstring). `trace`, if given, receives each group's surviving frontier
-    (see `prune`).
+    Each group's expansions are inserted one by one, one state kept per
+    work signature (see the module docstring and `expand_group`). `trace`,
+    if given, receives each group's surviving frontier.
 
     eps and alpha0 must be the ones the sketch was built with. The DP is pure
     Python, so threads cannot speed it up; parallel=True is rejected. A
@@ -235,19 +237,11 @@ def plan(
     bound = _state_bound(sketch, alpha0, delta, m)
     inv_log = 1.0 / math.log1p(delta)
 
-    frontier = {(0.0,) * m: (0.0, (), None)}  # the empty schedule, no parent
+    frontier = {(ZERO,) * m: (0.0, (0.0,) * m, None, None)}  # the empty schedule
     max_states = 1
     for g, (rp, n_k) in enumerate(sketch.entries):
         parts = enumerate_partitions(n_k, m, delta)
-        memo: dict = {}
-        by_work: dict[tuple, tuple] = {}
-        for work, entry in frontier.items():
-            for part in parts:
-                nw, ns = append_group(work, entry[0], rp, part, profiles, memo)
-                cur = by_work.get(nw)
-                if cur is None or ns < cur[0]:  # the keep rule at equal work
-                    by_work[nw] = (ns, part, entry)
-        frontier = prune(by_work, inv_log)
+        frontier = expand_group(frontier, rp, parts, profiles, inv_log)
         if len(frontier) > bound:
             raise FrontierBoundError(
                 f"group {g} (rp={rp}, n_k={n_k}): frontier of {len(frontier)} "
@@ -258,8 +252,8 @@ def plan(
         max_states = max(max_states, len(frontier))
 
     # the keep rule; the work vectors are distinct
-    entry = frontier[min(frontier, key=lambda w: (frontier[w][0], w))]
-    sigma_sp = entry[0]
+    state = min(frontier.values(), key=itemgetter(0, 1))
+    sigma_sp = state[0]
     factor = budget.value_factor(eps)
     V = factor * sigma_sp
     if not math.isfinite(V):
@@ -267,11 +261,11 @@ def plan(
             f"V = {factor} * sigma_S' = {sigma_sp} is past the float range"
         )
 
-    # counts[machine][group]: one split per group along the winner's parents
-    splits = []
-    while entry[2] is not None:
-        splits.append(entry[1])
-        entry = entry[2]
+    # counts[machine][group]: one split per group along the winner's chain
+    splits, link = [], state[2:]
+    while link[0] is not None:
+        splits.append(link[0])
+        link = link[1]
     counts = tuple(zip(*reversed(splits)))
 
     # machine 1's head holds the jobs outside the sketch, none above theta

@@ -283,8 +283,8 @@ def test_criterion_6_prune_soundness(instance_batch):
         inv_log = 1.0 / math.log1p(delta)
         for frontier in r["trace"]:
             prune_calls += 1
-            sigs = [signature(w, inv_log) for w in frontier]
-            assert len(sigs) == len(set(sigs))
+            sigs = [signature(state[1], inv_log) for state in frontier.values()]
+            assert sigs == list(frontier)
             assert len(frontier) <= bound
     _announce(6, f"{prune_calls} prune calls sound")
 

@@ -228,6 +228,23 @@ class TestEmit:
         with pytest.raises(StreamMismatchError):
             emit(pl, [1, 2], (unit_profile,))
 
+    def test_large_job_in_no_group_is_a_mismatch(self, unit_profile):
+        # a small job rounds below every group, so a job that rounds to no
+        # group from the smallest one up belongs to another stream: past
+        # every group, or between two of them
+        pl = build_plan([1, 1, 2], (unit_profile,))
+        for p in (3, 1000, 2**60):
+            match = rf"job 3 \(p={p}\) rounds to no plan group"
+            with pytest.raises(StreamMismatchError, match=match):
+                emit(pl, [1, 1, p], (unit_profile,))
+        pl = build_plan([1, 1, 5], (unit_profile,))
+        assert [rp for rp, _nk in pl.groups] == [1, 5]
+        with pytest.raises(StreamMismatchError, match=r"job 1 \(p=3\)"):
+            emit(pl, [3, 1, 1], (unit_profile,))
+        # the float-range check still comes first
+        with pytest.raises(ValueError, match="job 3: processing time"):
+            emit(pl, [1, 1, 2**1023], (unit_profile,))
+
 
 def hand_plan(groups, counts, n, small_reservation=0.0):
     """A plan pass 2 can replay, without running pass 1 or the planner."""

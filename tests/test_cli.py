@@ -281,6 +281,30 @@ class TestSubcommands:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("p", [3, 1000])
+    def test_schedule_of_a_large_job_in_no_group_fails_without_output(
+        self, reference_files, tmp_path, capsys, p
+    ):
+        # the plan of [1, 1, 2] has groups rp 1 and 2; a job that rounds
+        # past both is too large to be small, and fits no slot
+        jobs, profile = reference_files
+        plan_out = sketch_and_plan(tmp_path, jobs, profile)
+        other = tmp_path / "other.txt"
+        write_jobs(other, [1, 1, p])
+        out = tmp_path / "s.csv"
+        rc = main(
+            [
+                "schedule", "--plan", str(plan_out), "--jobs", str(other),
+                "--profile", str(profile), "--out", str(out),
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: job 3 (p={p}) rounds to no plan group, but not below the "
+            "smallest (rp=1)\n"
+        )
+        assert not out.exists()
+
     def test_infeasible_schedule_detected(self, tmp_path, capsys):
         jobs = tmp_path / "jobs.txt"
         write_jobs(jobs, [2, 2])

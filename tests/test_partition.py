@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -36,6 +37,28 @@ class TestLadderValues:
 
     def test_half_delta(self):
         assert ladder_values(3, 0.5) == [0, 1, 2, 3]
+
+    def test_short_ladders_match_the_multiplication_loop(self):
+        # below b*delta = 1/2 the ladder is 0..b without the loop; pin it
+        # against the loop on a grid of delta in [2.6e-5, 1/24], b on both
+        # sides of 1/(2 delta)
+        def by_loop(b, delta):
+            values, power = [0], 1.0
+            while int(power) <= b:
+                if int(power) != values[-1]:
+                    values.append(int(power))
+                power *= 1.0 + delta
+            return values
+
+        pairs = 0
+        for j in range(15):
+            delta = 0.6**j / 24
+            edge = 0.5 / delta
+            for b in {1, 2, 3, 7, int(edge) - 1, int(edge), math.ceil(edge)}:
+                if b >= 1:
+                    assert ladder_values(b, delta) == by_loop(b, delta), (b, delta)
+                    pairs += 1
+        assert pairs >= 90
 
 
 class TestEnumerate:

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -25,9 +26,8 @@ from streamsched.planner import (
     FrontierBoundError,
     Plan,
     ZERO,
-    append_group,
+    expand_group,
     plan,
-    prune,
     signature,
 )
 from streamsched.sketch import sketch_stream
@@ -73,21 +73,36 @@ class TestDelta:
 INV_LOG_1 = 1.0 / math.log1p(1.0)  # signature scale at delta = 1
 
 
+def frontier_of(*states):
+    """A frontier: each (sigma, work, part, prev) state under its work
+    signature at delta = 1."""
+    return {signature(state[1], INV_LOG_1): state for state in states}
+
+
+ROOT = (0.0, (0.0,), None, None)  # the empty schedule on one machine
+
+
 class TestAppendGroup:
     def test_single_machine_growth(self, unit_profile):
         profiles = (unit_profile,)
-        w1, s1 = append_group((0.0,), 0.0, 1, (2,), profiles, {})
+        f1 = expand_group(frontier_of(ROOT), 1, {(2,)}, profiles, INV_LOG_1)
+        (s1, w1, part, prev), = f1.values()
         assert work_to_time(unit_profile, 0.0, w1[0]) == 2.0
         assert w1 == (2.0,)
-        assert s1 == 3.0
-        w2, s2 = append_group(w1, s1, 2, (1,), profiles, {})
+        assert (s1, part, prev) == (3.0, (2,), (None, None))
+        (s2, w2, part, prev), = expand_group(
+            f1, 2, {(1,)}, profiles, INV_LOG_1
+        ).values()
         assert work_to_time(unit_profile, 0.0, w2[0]) == 4.0
         assert w2 == (4.0,)
-        assert s2 == 7.0
+        assert (s2, part, prev) == (7.0, (1,), ((2,), (None, None)))
 
     def test_zero_count_is_identity(self):
         profiles = (flat_profile(1.0, 1), flat_profile(1.0, 2))
-        w1, s1 = append_group((0.0, 0.0), 0.0, 3, (0, 2), profiles, {})
+        root = frontier_of((0.0, (0.0, 0.0), None, None))
+        (s1, w1, _part, _prev), = expand_group(
+            root, 3, {(0, 2)}, profiles, INV_LOG_1
+        ).values()
         assert w1[0] == 0.0 and s1 == 3.0 + 6.0  # machine 2's batch only
         assert work_to_time(profiles[1], 0.0, w1[1]) == 6.0
 
@@ -105,20 +120,46 @@ class TestSignature:
 
 
 class TestPrune:
-    # frontiers map a work vector to its (sigma, part, parent) entry
-    A = {(10.0,): (20.0, (1,), None)}
-    B = {(15.0,): (30.0, (1,), None)}
+    # states are (sigma, work, part, prev). One job of 3 on a unit
+    # machine takes A from work 10 to 13 (sigma 20 + 13) and B from 7 to 10
+    # (sigma 30 + 10): distinct signatures before, one after (delta = 1)
+    A = (20.0, (10.0,), (1,), None)
+    B = (30.0, (7.0,), (1,), None)
+
+    @staticmethod
+    def survivors(*states):
+        kept = expand_group(
+            frontier_of(*states), 3, {(1,)}, (flat_profile(1.0),), INV_LOG_1
+        )
+        return {state[1]: state[0] for state in kept.values()}
 
     def test_keeps_smaller_sigma(self):
-        assert prune({**self.A, **self.B}, INV_LOG_1) == self.A
-        assert prune({**self.B, **self.A}, INV_LOG_1) == self.A
+        assert self.survivors(self.A, self.B) == {(13.0,): 33.0}
+        assert self.survivors(self.B, self.A) == {(13.0,): 33.0}
+
+    def test_equal_sigma_keeps_lower_work(self):
+        B = (23.0, (7.0,), (1,), None)
+        assert self.survivors(self.A, B) == {(10.0,): 33.0}
+        assert self.survivors(B, self.A) == {(10.0,): 33.0}
+
+    def test_full_tie_keeps_first_arrival(self):
+        # both states reach work (1, 1) at sigma 2 on unit machines
+        profiles = (flat_profile(1.0, 1), flat_profile(1.0, 2))
+        a, b = (1.0, (1.0, 0.0), (1, 0), None), (1.0, (0.0, 1.0), (0, 1), None)
+        kept = expand_group(
+            frontier_of(a, b), 1, {(1, 0), (0, 1)}, profiles, INV_LOG_1
+        )
+        (sigma, _work, _part, prev), = (
+            state for state in kept.values() if state[1] == (1.0, 1.0)
+        )
+        assert sigma == 2.0 and prev == a[2:]
 
     def test_distinct_signatures_all_survive(self):
-        far = {(100.0,): (300.0, (1,), None)}
-        assert len(prune({**self.A, **far}, INV_LOG_1)) == 2
+        far = (300.0, (100.0,), (1,), None)
+        assert len(self.survivors(self.A, far)) == 2
 
     def test_empty(self):
-        assert prune({}, INV_LOG_1) == {}
+        assert self.survivors() == {}
 
 
 class TestPlan:
@@ -180,8 +221,8 @@ class TestPlan:
         plan(sk, profiles, 0.5, 0.5, trace=trace)
         inv_log = 1.0 / math.log1p(delta_of(sk, 0.5, 0.5))
         for frontier in trace:
-            sigs = [signature(w, inv_log) for w in frontier]
-            assert len(sigs) == len(set(sigs))
+            sigs = [signature(state[1], inv_log) for state in frontier.values()]
+            assert sigs == list(frontier)
 
     def test_eps_alpha0_must_match_sketch(self, unit_profile):
         sk = make_sketch([1, 1, 2])
@@ -312,14 +353,48 @@ class TestActivePrune:
         bound = planner._state_bound(sk, alpha0, delta, len(inst.machines))
         inv_log = 1.0 / math.log1p(delta)
         for frontier in trace:
-            sigs = {signature(w, inv_log) for w in frontier}
-            assert len(sigs) == len(frontier) <= bound
+            sigs = [signature(state[1], inv_log) for state in frontier.values()]
+            assert sigs == list(frontier) and len(frontier) <= bound
         opt = brute_force_opt(inst).opt_value
         assert opt <= pl.V * (1 + 1e-9)
         assert pl.V <= (1 + eps) * opt * (1 + 1e-9)
         schedule, _ = emit(pl, stream, inst.machines)
         assert evaluate_schedule(inst, schedule) <= (1 + eps) * opt * (1 + 1e-9)
         assert pl.max_states == max_states
+
+
+def _golden_case(seed):
+    rng = random.Random(seed)
+    m = rng.randint(1, 3)
+    n = rng.randint(1, 14 if m < 3 else 9)
+    max_p = rng.choice((5, 20, 100, 1000))
+    eps, alpha0 = rng.choice((0.3, 0.5, 1.0)), rng.choice((0.3, 0.5, 1.0))
+    inst = random_instance(rng, n, m, max_p, alpha0)
+    sk = sketch_stream([j.p for j in inst.jobs], eps, alpha0)
+    return sk, inst.machines, eps, alpha0
+
+
+def test_plans_match_golden_file():
+    """sigma_S', counts and max_states of 100 seeded plans, pinned bit for
+    bit. sigma_S' rather than V, so that a change to V's factor leaves the
+    file valid. tests/data/plan_golden.json was written with the planner
+    that merged each group by work vector and then pruned it, by
+
+        rows = []
+        for seed in range(100):
+            pl = plan(*_golden_case(seed))
+            rows.append({"seed": seed, "sigma_S_prime": pl.sigma_S_prime.hex(),
+                         "counts": [list(r) for r in pl.counts],
+                         "max_states": pl.max_states})
+
+    one row per line, with json.dumps(row, sort_keys=True)."""
+    path = Path(__file__).parent / "data" / "plan_golden.json"
+    rows = json.loads(path.read_text())
+    assert [row["seed"] for row in rows] == list(range(100))
+    for row in rows:
+        pl = plan(*_golden_case(row["seed"]))
+        got = (pl.sigma_S_prime.hex(), [list(r) for r in pl.counts], pl.max_states)
+        assert got == (row["sigma_S_prime"], row["counts"], row["max_states"]), row
 
 
 class TestKeepRuleTies:
@@ -411,6 +486,6 @@ class TestPrefixWorkBound:
                     work[i] <= factor * opt_prefix[i] + 1e-9
                     for i in range(2)
                 )
-                for work in frontier
+                for _sigma, work, _part, _prev in frontier.values()
             )
             assert ok, g_idx
