@@ -33,7 +33,7 @@ from .planner import Plan
 from .sketch import FLOAT_EXACT, bucket_groups, power_table
 
 
-class StreamMismatchError(Exception):
+class StreamMismatchError(ValueError):
     """Pass 2's stream is not pass 1's: another job count, or a job too
     large to be small that finds no slot left in its group, or no group."""
 
@@ -56,8 +56,8 @@ def emit(
     coordinate then advances by the rounded length, to the next slot.
     Raises ValueError when the profile count differs from the plan's,
     naming the group when a group's rp is no rounded size at the plan's
-    tau, or naming the job when a processing time is at or past
-    RP_LIMIT. Raises StreamMismatchError on another job count, or naming
+    tau, or naming the job when a processing time is below 1 or at or
+    past RP_LIMIT. Raises StreamMismatchError on another job count, or naming
     the job, and its group if any, when a job too large to be small finds
     no slot."""
     if len(profiles) != len(plan.counts):
@@ -117,66 +117,64 @@ def emit(
     put_machine, put_start, put_completion = (
         out_machines.append, out_starts.append, out_completions.append
     )
-    job_id = p = 0
-    try:
-        for job_id, p in enumerate(stream, start=1):
-            if p < 1:
-                raise ValueError("processing time must be >= 1")
-            fp = float(p)
-            x = fp if p < FLOAT_EXACT else p
-            g = group_of[bisect_right(table, x)] if x < top else None
-            cur = None if g is None else cursor[g]
-            if cur is None:
-                # every p from RP_LIMIT up lands here, past all groups
-                if p >= RP_LIMIT:
-                    require_below_rp_limit(p, f"job {job_id}: processing time")
-                if x >= low:  # too large to be small, and no slot is left
-                    where = (
-                        f"into plan group {g} (rp={rps[g]}), whose {groups[g][1]} "
-                        "slots are all taken" if g is not None else
-                        f"to no plan group, but not below the smallest (rp={rps[0]})"
-                    )
-                    raise StreamMismatchError(f"job {job_id} (p={p}) rounds {where}")
-                profile = first
-                start = small_cursor
-                completion = work_to_time(profile, start, fp)
-                if completion > head_limit:
-                    reservation_overflow += 1
-                    start = tail_cursor
-                    completion = work_to_time(profile, start, fp)
-                    tail_cursor = completion
-                else:
-                    small_cursor = completion
-                small_placed += 1
+    job_id = 0
+    for job_id, p in enumerate(stream, start=1):
+        if p < 1:
+            raise ValueError(f"job {job_id}: processing time must be >= 1")
+        # float(p) is exact below 2**53 and bisects faster; past it p stays
+        # an int, which compares exactly, and int - float or int / float
+        # converts it as float(p) would
+        x = float(p) if p < FLOAT_EXACT else p
+        g = group_of[bisect_right(table, x)] if x < top else None
+        cur = None if g is None else cursor[g]
+        if cur is None:
+            # every p from RP_LIMIT up lands here, past all groups, before
+            # any arithmetic would convert it to a float
+            if p >= RP_LIMIT:
+                require_below_rp_limit(p, f"job {job_id}: processing time")
+            if x >= low:  # too large to be small, and no slot is left
+                where = (
+                    f"into plan group {g} (rp={rps[g]}), whose {groups[g][1]} "
+                    "slots are all taken" if g is not None else
+                    f"to no plan group, but not below the smallest (rp={rps[0]})"
+                )
+                raise StreamMismatchError(f"job {job_id} (p={p}) rounds {where}")
+            profile = first
+            start = small_cursor
+            completion = work_to_time(profile, start, x)
+            if completion > head_limit:
+                reservation_overflow += 1
+                start = tail_cursor
+                completion = work_to_time(profile, start, x)
+                tail_cursor = completion
             else:
-                w, j, left, rp, i, tab = cur
-                starts, ends, works, alphas, profile = tab
-                while works[j + 1] <= w:
-                    j += 1
-                alpha = alphas[j]
-                start = starts[j] + (w - works[j]) / alpha
-                # the completion is walked from the start, not read off
-                # G^-1(w + p): deep in a timeline the difference of two
-                # G^-1 values loses the digits the evaluator needs to see
-                # exactly p units of work. A job that ends in interval j is
-                # work_to_time's first case, inlined; the rest call it. A
-                # start rounded onto interval j's end fails the test by
-                # itself, as fp > 0.
-                if fp - alpha * (ends[j] - start) <= 0:
-                    completion = start + fp / alpha
-                else:
-                    completion = work_to_time(profile, start, fp)
-                if left > 1:
-                    cursor[g] = (w + rp, j, left - 1, rp, i, tab)
-                else:  # machine i has used up its slots of group g
-                    cursor[g] = load(g, i + 1)
-            put_machine(profile.machine_index)
-            put_start(start)
-            put_completion(completion)
-    except OverflowError:
-        # float(p) of a p past the float range
-        require_below_rp_limit(p, f"job {job_id}: processing time")
-        raise
+                small_cursor = completion
+            small_placed += 1
+        else:
+            w, j, left, rp, i, tab = cur
+            starts, ends, works, alphas, profile = tab
+            while works[j + 1] <= w:
+                j += 1
+            alpha = alphas[j]
+            start = starts[j] + (w - works[j]) / alpha
+            # the completion is walked from the start, not read off
+            # G^-1(w + p): deep in a timeline the difference of two
+            # G^-1 values loses the digits the evaluator needs to see
+            # exactly p units of work. A job that ends in interval j is
+            # work_to_time's first case, inlined; the rest call it. A
+            # start rounded onto interval j's end fails the test by
+            # itself, as x > 0.
+            if x - alpha * (ends[j] - start) <= 0:
+                completion = start + x / alpha
+            else:
+                completion = work_to_time(profile, start, x)
+            if left > 1:
+                cursor[g] = (w + rp, j, left - 1, rp, i, tab)
+            else:  # machine i has used up its slots of group g
+                cursor[g] = load(g, i + 1)
+        put_machine(profile.machine_index)
+        put_start(start)
+        put_completion(completion)
     if job_id != plan.n:
         raise StreamMismatchError(f"pass 2 saw {job_id} jobs, plan expects {plan.n}")
     report = EmitReport(small_placed, 0, reservation_overflow)

@@ -15,7 +15,7 @@ MAX_JOBS = 12
 MAX_MACHINES = 3
 
 
-class TooLargeError(Exception):
+class TooLargeError(ValueError):
     """Instance exceeds the brute-force enumeration guard."""
 
 

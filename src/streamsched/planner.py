@@ -10,15 +10,7 @@ one dict keyed by its class of equal per-machine work buckets (ratio
 and the final pick: the lower sigma wins, then the lower work vector, then
 the state that arrived first.
 
-Unlike the paper's, the classes leave sigma out, at no cost to its bound. A
-kept A and a dropped B in one class have sigma(A) <= sigma(B) and each
-w_i(A) < (1+delta) w_i(B), or both are 0. Capacity lies in [alpha0, 1], so
-G^-1 has slope <= 1/alpha0 and G^-1(y) >= y: a continuation replayed from A
-ends each job later than from B by at most delta/alpha0 times its completion
-from B. Partitions do not depend on the state, so over the mu prunes the best
-schedule loses at most a factor (1 + eps/(24 mu))^mu <= e^(eps/24), delta
-being eps*alpha0/(24 mu). The paper's classes are subsets of these and get
-exactly this bound from the same argument.
+Why classes that leave sigma out cost only e^(eps/24): budget.py, step 3.
 """
 from __future__ import annotations
 
@@ -48,7 +40,7 @@ from .sketch import Sketch, bucket_groups
 ZERO = "Z"  # signature symbol for an empty machine (log of 0 is undefined)
 
 
-class EmptySketchError(Exception):
+class EmptySketchError(ValueError):
     """The sketch has no entries to plan over."""
 
 

@@ -19,7 +19,7 @@ from .model import (
 )
 
 
-class EmptyStreamError(Exception):
+class EmptyStreamError(ValueError):
     """The job stream contained no jobs."""
 
 
@@ -69,21 +69,15 @@ _POWER_TABLES: dict[float, list[float]] = {}
 FLOAT_EXACT = 2**53
 
 
-def _power(tau: float, k: int) -> float:
-    table = _POWER_TABLES.get(tau)
-    if table is None:
-        table = _POWER_TABLES[tau] = [1.0]
+def power_table(tau: float, k: int) -> list[float]:
+    """The memoized (1+tau)^j table, grown to hold j = k. Bucket j holds the
+    p with table[j-1] <= p < table[j]. Read it only: it is shared, and the
+    one list per tau only ever grows, so a caller may keep it."""
+    table = _POWER_TABLES.setdefault(tau, [1.0])
     base = 1.0 + tau
     while len(table) <= k:
         table.append(table[-1] * base)
-    return table[k]
-
-
-def power_table(tau: float, k: int) -> list[float]:
-    """The memoized (1+tau)^j table, grown to hold j = k. Bucket j holds the
-    p with table[j-1] <= p < table[j]. Read it only: it is shared."""
-    _power(tau, k)
-    return _POWER_TABLES[tau]
+    return table
 
 
 def bucket_index(p: int, tau: float) -> int:
@@ -98,10 +92,12 @@ def bucket_index(p: int, tau: float) -> int:
         raise ValueError("tau must be > 0")
     table = _POWER_TABLES.get(tau)
     if table is None or p >= table[-1]:
-        k = len(table) if table else 1
-        while _power(tau, k) <= p:
+        # the first (1+tau)^k past p has k > log(p) / log(1+tau), so the
+        # table grows in one call and ends where entry-by-entry growth
+        # would; from RP_LIMIT up the loop goes on to the first inf entry
+        k = int(math.log(min(p, RP_LIMIT)) / math.log(1.0 + tau))
+        while (table := power_table(tau, k))[-1] <= p:
             k += 1
-        table = _POWER_TABLES[tau]
     return bisect_right(table, float(p) if p < FLOAT_EXACT else p)
 
 
@@ -109,7 +105,7 @@ def rounded_value(k: int, tau: float) -> int:
     """floor((1+tau)^k), the rounded processing time of bucket k."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return int(math.floor(_power(tau, k)))
+    return int(math.floor(power_table(tau, k)[k]))
 
 
 def bucket_groups(rps, tau: float, what: str) -> list:
@@ -212,10 +208,13 @@ class SketchBuilder:
 
     The counts live in one list indexed by bucket number, in every knowledge
     mode; the modes only seed and raise the running threshold, which skips
-    jobs and so keeps the live sketch small. When the threshold rises, the
-    buckets whose rounded size fell below it are zeroed at once, walking a
-    low-water bucket index forward, which also skips every job below it.
-    Over a whole stream that walk costs at most the buckets below theta.
+    jobs and bounds live_size(), the count of nonzero buckets. The list and
+    the shared power table still hold one entry per bucket up to p_max's,
+    so memory is O(log p_max / tau) in every mode. When the threshold
+    rises, the buckets whose rounded size fell below it are zeroed at once,
+    walking a low-water bucket index forward, which also skips every job
+    below it. Over a whole stream that walk costs at most the buckets below
+    theta.
     """
 
     eps: float
@@ -228,7 +227,6 @@ class SketchBuilder:
         if not 0.0 < self.alpha0 <= 1.0:
             raise ValueError("alpha0 must be in (0, 1]")
         self.tau = budget.tau(self.eps, self.alpha0)
-        _power(self.tau, 1)  # prime the table
         self.n_cur = 0
         self.p_curMax = 0
         self.p_minL = 0.0  # the running threshold; 0 while there is none
@@ -265,9 +263,9 @@ class SketchBuilder:
     def observe_all(self, stream) -> None:
         """observe() each processing time of the iterable in turn.
 
-        A time below 1, or at or past RP_LIMIT, raises ValueError; the
-        latter is checked only when a job sets a new maximum, and names the
-        job's position in the stream. The counters live in locals while the
+        A time below 1, or at or past RP_LIMIT, raises ValueError naming
+        the job's position in the stream; the latter is checked only when a
+        job sets a new maximum. The counters live in locals while the
         loop runs and are stored back when it stops, also when a job is
         rejected part way through.
         """
@@ -281,7 +279,7 @@ class SketchBuilder:
         try:
             for p in stream:
                 if p < 1:
-                    raise ValueError("processing time must be >= 1")
+                    raise ValueError(f"job {n + 1}: processing time must be >= 1")
                 n += 1
                 if p > p_max:
                     if p >= RP_LIMIT:

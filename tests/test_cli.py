@@ -40,6 +40,13 @@ OLDER_PROFILES = (
 )
 
 
+# the jobs file of `gen --jobs 30 --max-p 50 --seed 1`
+GEN_30 = [
+    9, 37, 49, 5, 17, 8, 32, 49, 29, 31, 42, 25, 14, 7, 32,
+    2, 25, 28, 39, 49, 50, 1, 45, 29, 18, 47, 15, 38, 7, 21,
+]
+
+
 def write_jobs(path, ps):
     path.write_text("".join(f"{p}\n" for p in ps))
 
@@ -103,70 +110,138 @@ class TestGen:
             texts.append(jobs.read_text())
         assert texts[0] != texts[1]
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--jobs", "0"], "jobs, machines, max-p and intervals must be >= 1"),
+            (["--jobs", "5", "--alpha0", "0"], "alpha0 must be in (0, 1]"),
+        ],
+        ids=["no-jobs", "zero-alpha0"],
+    )
+    def test_bad_parameters_rejected_before_writing(
+        self, tmp_path, capsys, args, message
+    ):
+        jobs = tmp_path / "jobs.txt"
+        prof = tmp_path / "prof.json"
+        rc = main(
+            ["gen", *args, "--jobs-out", str(jobs), "--profile-out", str(prof)]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not jobs.exists() and not prof.exists()
+
 
 class TestSubcommands:
     def test_full_round_trip(self, tmp_path, capsys):
+        # the second instance's total work times delta is about 10, so the
+        # planner's work-signature classes merge states
+        for n, max_p, seed in (("6", "20", "3"), ("10", "1000", "1")):
+            jobs = tmp_path / "jobs.txt"
+            profile = tmp_path / "profile.json"
+            sketch_out = tmp_path / "sketch.json"
+            plan_out = tmp_path / "plan.json"
+            sched_out = tmp_path / "schedule.csv"
+
+            rc = main(
+                [
+                    "gen", "--jobs", n, "--machines", "2", "--max-p", max_p,
+                    "--alpha0", "0.5", "--seed", seed,
+                    "--jobs-out", str(jobs), "--profile-out", str(profile),
+                ]
+            )
+            assert rc == 0
+
+            rc = main(
+                [
+                    "sketch", "--jobs", str(jobs), "--eps", "1.0",
+                    "--alpha0", "0.5", "--out", str(sketch_out),
+                ]
+            )
+            assert rc == 0
+            assert json.loads(sketch_out.read_text())["n"] == int(n)
+
+            rc = main(
+                [
+                    "approximate", "--sketch", str(sketch_out),
+                    "--profile", str(profile), "--out", str(plan_out),
+                ]
+            )
+            assert rc == 0
+            printed_v = float(capsys.readouterr().out.strip())
+            plan_obj = json.loads(plan_out.read_text())
+            assert printed_v == pytest.approx(plan_obj["V"])
+            assert (plan_obj["eps"], plan_obj["alpha0"]) == (1.0, 0.5)
+
+            rc = main(
+                [
+                    "schedule", "--plan", str(plan_out), "--jobs", str(jobs),
+                    "--profile", str(profile), "--out", str(sched_out),
+                ]
+            )
+            assert rc == 0
+
+            rc = main(
+                [
+                    "eval", "--schedule", str(sched_out), "--profile", str(profile),
+                    "--jobs", str(jobs),
+                ]
+            )
+            out = capsys.readouterr().out
+            assert rc == 0
+            assert "feasible" in out
+            sigma = float(out.split("sigma=")[1].split()[0])
+            assert sigma <= printed_v * (1 + 1e-9)
+
+            rc = main(["oracle", "--jobs", str(jobs), "--profile", str(profile)])
+            assert rc == 0
+            opt = float(capsys.readouterr().out.strip())
+            assert opt <= sigma * (1 + 1e-9)
+            assert sigma <= 2 * opt * (1 + 1e-9)
+
+    @pytest.mark.parametrize(
+        "ps, eps_alpha0, bounds",
+        [
+            (GEN_30, "0.5", ["--n-upper", "30", "--pmax-lower", "1"]),
+            # with n_upper=2 the threshold is 100 once 1200 has arrived; 99
+            # lies below it but rounds to 104, above it, so it counts
+            ([1200, 99], "1.0", ["--n-upper", "2"]),
+            ([99, 1200], "1.0", ["--n-upper", "2"]),
+        ],
+        ids=["gen-30", "high-first", "low-first"],
+    )
+    def test_kept_bounds_give_the_same_sketch_file(
+        self, tmp_path, ps, eps_alpha0, bounds
+    ):
         jobs = tmp_path / "jobs.txt"
+        write_jobs(jobs, ps)
+        files = []
+        for extra in ([], bounds):
+            out = tmp_path / f"sketch{len(files)}.json"
+            assert main(
+                [
+                    "sketch", "--jobs", str(jobs), "--eps", eps_alpha0,
+                    "--alpha0", eps_alpha0, "--out", str(out), *extra,
+                ]
+            ) == 0
+            files.append(out.read_bytes())
+        assert files[0] == files[1]
+
+    def test_oracle_schedule_evaluates_to_its_value(self, tmp_path, capsys):
+        jobs = tmp_path / "jobs.txt"
+        write_jobs(jobs, OLDER_JOBS)
         profile = tmp_path / "profile.json"
-        sketch_out = tmp_path / "sketch.json"
-        plan_out = tmp_path / "plan.json"
-        sched_out = tmp_path / "schedule.csv"
-
+        dump_profiles(OLDER_PROFILES, str(profile))
+        out = tmp_path / "opt.csv"
         rc = main(
-            [
-                "gen", "--jobs", "6", "--machines", "2", "--max-p", "20",
-                "--alpha0", "0.5", "--seed", "3",
-                "--jobs-out", str(jobs), "--profile-out", str(profile),
-            ]
+            ["oracle", "--jobs", str(jobs), "--profile", str(profile), "--out", str(out)]
         )
         assert rc == 0
-
+        opt = capsys.readouterr().out.strip()
         rc = main(
-            [
-                "sketch", "--jobs", str(jobs), "--eps", "1.0",
-                "--alpha0", "0.5", "--out", str(sketch_out),
-            ]
+            ["eval", "--schedule", str(out), "--profile", str(profile), "--jobs", str(jobs)]
         )
         assert rc == 0
-        assert json.loads(sketch_out.read_text())["n"] == 6
-
-        rc = main(
-            [
-                "approximate", "--sketch", str(sketch_out),
-                "--profile", str(profile), "--out", str(plan_out),
-            ]
-        )
-        assert rc == 0
-        printed_v = float(capsys.readouterr().out.strip())
-        plan_obj = json.loads(plan_out.read_text())
-        assert printed_v == pytest.approx(plan_obj["V"])
-        assert (plan_obj["eps"], plan_obj["alpha0"]) == (1.0, 0.5)
-
-        rc = main(
-            [
-                "schedule", "--plan", str(plan_out), "--jobs", str(jobs),
-                "--profile", str(profile), "--out", str(sched_out),
-            ]
-        )
-        assert rc == 0
-
-        rc = main(
-            [
-                "eval", "--schedule", str(sched_out), "--profile", str(profile),
-                "--jobs", str(jobs),
-            ]
-        )
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "feasible" in out
-        sigma = float(out.split("sigma=")[1].split()[0])
-        assert sigma <= printed_v * (1 + 1e-9)
-
-        rc = main(["oracle", "--jobs", str(jobs), "--profile", str(profile)])
-        assert rc == 0
-        opt = float(capsys.readouterr().out.strip())
-        assert opt <= sigma * (1 + 1e-9)
-        assert sigma <= 2 * opt * (1 + 1e-9)
+        assert capsys.readouterr().out == f"sigma={opt} feasible\n"
 
     def test_empty_jobs_file_fails(self, tmp_path, capsys):
         jobs = tmp_path / "jobs.txt"
@@ -323,6 +398,22 @@ class TestSubcommands:
         )
         assert rc == 1
         assert "infeasible" in capsys.readouterr().out
+
+    def test_placement_of_an_unknown_job_is_infeasible(self, tmp_path, capsys):
+        jobs = tmp_path / "jobs.txt"
+        write_jobs(jobs, [2, 2])
+        profile = tmp_path / "profile.json"
+        dump_profiles((flat_profile(1.0, 1),), str(profile))
+        sched = tmp_path / "schedule.csv"
+        sched.write_text("job_id,machine,start,completion\n1,1,0.0,2.0\n9,1,2.0,4.0\n")
+        rc = main(
+            [
+                "eval", "--schedule", str(sched), "--profile", str(profile),
+                "--jobs", str(jobs),
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().out == "infeasible: placement for unknown job 9\n"
 
     @pytest.mark.parametrize(
         "row, message",
@@ -506,6 +597,11 @@ MALFORMED = {
         "oracle",
         {"profile": f'[{{"pieces": [{PIECE}]}}]'},
         "profile JSON machine entry has no 'machine' key",
+    ),
+    "profile-open-middle-piece": (
+        "approximate",
+        {"profile": f'[{{"machine": 1, "pieces": [{PIECE}, {PIECE}]}}]'},
+        "exactly the last piece must have end=null",
     ),
     "piece-without-alpha": (
         "approximate",
@@ -722,6 +818,17 @@ MALFORMED = {
         "schedule",
         {"jobs": f"1\n1\n{10**400}\n"},
         "job 3: processing time must be below 2**1023, got an integer of 401 digits",
+    ),
+    # a job below 1, named in either pass
+    "jobs-zero-sketch": (
+        "sketch",
+        {"jobs": "1\n0\n2\n"},
+        "job 2: processing time must be >= 1",
+    ),
+    "jobs-zero-schedule": (
+        "schedule",
+        {"jobs": "1\n0\n2\n"},
+        "job 2: processing time must be >= 1",
     ),
     # a float, but no rounded size past it is: pass 2 names it too
     "jobs-p-at-limit-schedule": (
