@@ -13,9 +13,9 @@ filled in when the stream ends.
 Large jobs start exactly at their slot time. The slots are laid out on the
 profiles pass 2 is given, and a job's true length never exceeds the rounded
 length its slot was sized for, so slots are pairwise disjoint regardless of
-arrival order. Small jobs fill the head reservation on machine 1; any small
-that no longer fits ahead of machine 1's first large slot is appended past
-the end of its slot timeline instead.
+arrival order. Small jobs run back to back from time 0 in the reservation
+ahead of machine 1's slots, which holds their work on pass 1's stream and
+profile (budget step 4); a small job that overruns it is a mismatch too.
 """
 from __future__ import annotations
 
@@ -34,16 +34,15 @@ from .sketch import FLOAT_EXACT, bucket_groups, power_table
 
 
 class StreamMismatchError(ValueError):
-    """Pass 2's stream is not pass 1's: another job count, or a job too
-    large to be small that finds no slot left in its group, or no group."""
+    """Pass 2's stream or machine 1's profile is not pass 1's: another job
+    count, a large job with no slot left, or small jobs past the reservation."""
 
 
 @dataclass
 class EmitReport:
     small_placed: int = 0
-    # always 0, kept while the benchmark reads it: emit raises instead
+    # both always 0, kept while the benchmark reads them: emit raises instead
     bucket_overflow: int = 0
-    # small jobs that no longer fit ahead of machine 1's first large slot
     reservation_overflow: int = 0
 
 
@@ -59,7 +58,7 @@ def emit(
     tau, or naming the job when a processing time is below 1 or at or
     past RP_LIMIT. Raises StreamMismatchError on another job count, or naming
     the job, and its group if any, when a job too large to be small finds
-    no slot."""
+    no slot, or a small job overruns machine 1's reservation."""
     if len(profiles) != len(plan.counts):
         raise ValueError(
             f"plan is for {len(plan.counts)} machines, got {len(profiles)} profiles"
@@ -77,8 +76,7 @@ def emit(
     low = table[group_of.index(0) - 1] if groups else math.inf
     # slot_work[i][g]: the work machine i has delivered when its first slot
     # of group g starts. Groups run back to back in size order, machine 1's
-    # after the small-job reservation at its head; the extra last entry is
-    # where the machine's timeline ends.
+    # after the small-job reservation at its head, which holds heads[0] work.
     heads = [first.work_at(plan.small_reservation)] + [0.0] * (m - 1)
     slot_work = [
         list(accumulate((c * rp for rp, c in zip(rps, row)), initial=w))
@@ -106,12 +104,7 @@ def emit(
         return (w, j, plan.counts[i][g], rps[g], i, tables[i])
 
     cursor = [load(g, 0) for g in range(len(groups))]
-    # smalls must finish before machine 1's first large slot; the ones that
-    # do not fit go past the end of its timeline
-    small_cursor = 0.0
-    head_limit = plan.small_reservation if any(plan.counts[0]) else math.inf
-    tail_cursor = first.time_at(slot_work[0][-1])
-    small_placed = reservation_overflow = 0
+    small_cursor, small_sum, small_placed = 0.0, 0, 0  # an int sum is exact
     # the schedule's columns but job_ids, which is 1..n; see Schedule
     out_machines, out_starts, out_completions = array("q"), array("d"), array("d")
     put_machine, put_start, put_completion = (
@@ -139,16 +132,15 @@ def emit(
                     f"to no plan group, but not below the smallest (rp={rps[0]})"
                 )
                 raise StreamMismatchError(f"job {job_id} (p={p}) rounds {where}")
-            profile = first
-            start = small_cursor
-            completion = work_to_time(profile, start, x)
-            if completion > head_limit:
-                reservation_overflow += 1
-                start = tail_cursor
-                completion = work_to_time(profile, start, x)
-                tail_cursor = completion
-            else:
-                small_cursor = completion
+            small_sum += p
+            if small_sum > heads[0]:
+                raise StreamMismatchError(
+                    f"job {job_id} (p={p}) takes the small jobs' work to {small_sum}, "
+                    f"past the {heads[0]} of machine 1's reservation: the "
+                    "stream or machine 1's profile differs from pass 1's"
+                )
+            profile, start = first, small_cursor
+            completion = small_cursor = work_to_time(first, start, x)
             small_placed += 1
         else:
             w, j, left, rp, i, tab = cur
@@ -177,7 +169,7 @@ def emit(
         put_completion(completion)
     if job_id != plan.n:
         raise StreamMismatchError(f"pass 2 saw {job_id} jobs, plan expects {plan.n}")
-    report = EmitReport(small_placed, 0, reservation_overflow)
+    report = EmitReport(small_placed)
     job_ids = array("q", range(1, job_id + 1))
     schedule = Schedule.from_columns(
         job_ids, out_machines, out_starts, out_completions

@@ -62,16 +62,21 @@ The chain, one factor per step:
    below the running threshold, theta at (n', p) in the same float form,
    each of whose steps is monotone, so it never exceeds theta.
    The n_s of them hold at most n_s*theta work, which fits in machine 1's
-   reservation R. Machine 1's slots start after that work, so each of its
-   at most n - n_s large jobs completes at most n_s*theta/alpha0 later than
-   in the planner's schedule, and each small job by R <= n_s*theta/alpha0.
+   reservation R, in floats too: each p is an integer <= floor(theta), so
+   sum p <= n_s*floor(theta) <= fl(n_s*theta) while n_s*floor(theta) < 2^53
+   (past it, fl may fall half an ulp short), and the planner steps R up
+   until G_1(R) >= fl(n_s*theta). Machine 1's slots start after that
+   work, so each of its at most n - n_s large jobs completes at most
+   n_s*theta/alpha0 later than in the planner's schedule, and each small
+   job by R <= n_s*theta/alpha0.
    A large job starts where its slot starts and needs p <= rp, so it
    completes no later than its slot ends. Together this adds at most
    n*n_s*theta/alpha0 = (n_s/n) eps p_max/3 <= (eps/3) sigma_S'. The largest
    job is always in the sketch, and completes no earlier than its rp >=
    p_max, so p_max <= sigma_S'. Hence OPT <= sigma <= (1 + eps/3) sigma_S'.
    The sketch counts every job of each rp above theta, so pass 2 has a
-   slot for each; a job that finds none left means another stream.
+   slot for each. A job that finds none left, or small jobs whose work
+   passes G_1(R), mean another stream or machine 1 profile.
 
 The sandwich:
 

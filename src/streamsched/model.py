@@ -62,7 +62,7 @@ class Job:
             raise ValueError(f"job id must be >= 1, got {self.id}")
         if not 1 <= self.p < RP_LIMIT:
             if self.p < 1:
-                raise ValueError(f"processing time must be >= 1, got {self.p}")
+                raise ValueError(f"job {self.id}: processing time must be >= 1")
             require_below_rp_limit(self.p, f"job {self.id}: processing time")
 
 

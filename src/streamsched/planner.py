@@ -260,16 +260,19 @@ def plan(
         link = link[1]
     counts = tuple(zip(*reversed(splits)))
 
-    # machine 1's head holds the jobs outside the sketch, none above theta
+    # G_1(G_1^-1(small)) can round below small: step R up (budget step 4)
     n_small = sketch.n - sum(n_k for _rp, n_k in sketch.entries)
     small = budget.small_work(eps, alpha0, sketch.n, sketch.p_max, n_small)
+    first, reservation = profiles[0], profiles[0].time_at(small)
+    while first.work_at(reservation) < small:
+        reservation = math.nextafter(reservation, math.inf)
     return Plan(
         V=V,
         sigma_S_prime=sigma_sp,
         eps=eps,
         alpha0=alpha0,
         n=sketch.n,
-        small_reservation=profiles[0].time_at(small),
+        small_reservation=reservation,
         groups=sketch.entries,
         counts=counts,
         max_states=max_states,

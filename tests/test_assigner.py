@@ -4,7 +4,7 @@ import random
 import tracemalloc
 
 import pytest
-from conftest import boundary_streams, make_profile
+from conftest import boundary_streams, exact_fit_stream, make_profile
 
 from streamsched import budget
 from streamsched.assigner import StreamMismatchError, emit
@@ -255,25 +255,16 @@ def hand_plan(groups, counts, n, small_reservation=0.0):
 
 
 class TestHandBuiltPlans:
-    def test_overflow_past_the_reservation_goes_to_the_tail(self):
+    def test_small_job_past_the_reservation_is_a_mismatch(self):
         # the second job rounds below the plan's only group, so it is small,
-        # and at 6 time units it cannot fit in the 0.01 reservation ahead of
-        # the group's slot
+        # and its 3 units of work cannot fit in the 0.005 that machine 1
+        # delivers in the 0.01 reservation ahead of the group's slot
         tau = 1 / 30
         rp = rounded_value(bucket_index(7, tau), tau)
         pl = hand_plan(((rp, 1),), ((1,),), 2, small_reservation=0.01)
-        profiles = (flat_profile(0.5),)
-        sched, report = emit(pl, [rp, 3], profiles)
-        assert report.small_placed == 1
-        assert report.reservation_overflow == 1
-        first, second = sched.placements
-        assert first.start == pytest.approx(0.01)
-        assert second.start == pytest.approx(first.completion)
-        assert second.start == pytest.approx(14.01)
-        assert second.completion == pytest.approx(20.01)
-        jobs = (Job(1, rp), Job(2, 3))
-        sigma = evaluate_schedule(Instance(profiles, jobs, 0.5), sched)
-        assert sigma == pytest.approx(first.completion + second.completion)
+        match = r"^job 2 \(p=3\) takes the small jobs' work to 3, past the 0\.005 "
+        with pytest.raises(StreamMismatchError, match=match):
+            emit(pl, [rp, 3], (flat_profile(0.5),))
 
     def test_deep_slots_keep_their_work(self):
         # slots past 6e7 units of work: the job's 3 units must survive the
@@ -333,6 +324,42 @@ class TestThresholdBoundary:
         pl = plan(sk, (unit_profile,), 1.0, 1.0)
         _, report = emit(pl, stream, (unit_profile,))
         assert report.small_placed == 0
+
+
+class TestExactFitReservation:
+    def test_small_jobs_that_fill_the_reservation_keep_the_bound(self):
+        # the n_s small jobs each equal an integral theta, so they hold
+        # exactly the n_s*theta work machine 1 reserves; a chained float
+        # completion may still end an ulp past the reservation. [30]*6 +
+        # [7000] is one such stream at eps=0.7, alpha0=0.9, flat 0.9.
+        rng = random.Random(25)
+        cases = [([30] * 6 + [7000], 0.7, 0.9, (flat_profile(0.9),))]
+        while len(cases) < 150:
+            drawn = exact_fit_stream(rng, rng.randint(1, 6), rng.randint(1, 3))
+            if drawn is not None:
+                stream, eps, alpha0 = drawn
+                m = rng.randint(1, 2)
+                profiles = tuple(
+                    random_profile(rng, alpha0, i, max_pieces=8)
+                    for i in range(1, m + 1)
+                )
+                cases.append((stream, eps, alpha0, profiles))
+        for stream, eps, alpha0, profiles in cases:
+            pl = build_plan(stream, profiles, eps, alpha0)
+            shuffled = stream[:]
+            rng.shuffle(shuffled)
+            opt = None
+            if len(stream) <= 8:
+                jobs = tuple(Job(i, p) for i, p in enumerate(stream, 1))
+                opt = brute_force_opt(Instance(profiles, jobs, alpha0)).opt_value
+            for order in (stream, sorted(stream), shuffled):
+                sched, report = emit(pl, order, profiles)
+                assert report.small_placed == stream.count(stream[0])
+                jobs = tuple(Job(i, p) for i, p in enumerate(order, 1))
+                sigma = evaluate_schedule(Instance(profiles, jobs, alpha0), sched)
+                assert sigma <= pl.V, (stream, eps, alpha0, profiles)
+                if opt is not None:
+                    assert sigma <= (1 + eps) * opt, (stream, eps, alpha0, profiles)
 
 
 def test_emit_holds_at_most_40_bytes_per_job():

@@ -556,6 +556,113 @@ class TestSubcommands:
         ]
 
 
+# theta = 0.5 * 0.9 * 10800 / (3 * 9**2) = 20, so the eight jobs of 20 are
+# small and fill machine 1's reservation of n_s*theta = 160 units of work
+# exactly; on one machine at flat capacity 0.9 it ends at 177.78
+EXACT_FIT_JOBS = [20] * 8 + [10800]
+
+
+class TestExactFitReservation:
+    @pytest.fixture
+    def files(self, tmp_path):
+        """The jobs, the profile at capacity 0.9 and the plan made on it."""
+        jobs = tmp_path / "jobs.txt"
+        write_jobs(jobs, EXACT_FIT_JOBS)
+        profile = tmp_path / "profile.json"
+        dump_profiles((flat_profile(0.9, 1),), str(profile))
+        sketch_out, plan_out = tmp_path / "sketch.json", tmp_path / "plan.json"
+        assert main(
+            [
+                "sketch", "--jobs", str(jobs), "--eps", "0.5",
+                "--alpha0", "0.9", "--out", str(sketch_out),
+            ]
+        ) == 0
+        assert main(
+            [
+                "approximate", "--sketch", str(sketch_out),
+                "--profile", str(profile), "--out", str(plan_out),
+            ]
+        ) == 0
+        return jobs, profile, plan_out
+
+    def test_small_jobs_that_fill_the_reservation_stay_in_it(
+        self, files, tmp_path, capsys
+    ):
+        # the eighth small job's chained completion lies an ulp past the
+        # reservation's end; it still belongs ahead of the large job, which
+        # gives the oracle's optimum
+        jobs, profile, plan_out = files
+        out = tmp_path / "s.csv"
+        assert main(
+            [
+                "schedule", "--plan", str(plan_out), "--jobs", str(jobs),
+                "--profile", str(profile), "--out", str(out),
+            ]
+        ) == 0
+        capsys.readouterr()
+        assert main(
+            [
+                "eval", "--schedule", str(out), "--profile", str(profile),
+                "--jobs", str(jobs),
+            ]
+        ) == 0
+        assert main(["oracle", "--jobs", str(jobs), "--profile", str(profile)]) == 0
+        assert capsys.readouterr().out == (
+            "sigma=12977.7777778 feasible\n12977.7777778\n"
+        )
+
+    @pytest.mark.parametrize(
+        "ps, alpha, job, held, room",
+        [
+            # another multiset of the same length: its small jobs hold 161
+            ([20] * 7 + [21, 10800], 0.9, "8 (p=21)", 161, "160.0"),
+            # machine 1 at half speed delivers 88.9 units by the reservation
+            (EXACT_FIT_JOBS, 0.5, "5 (p=20)", 100, "88.88888888888889"),
+        ],
+    )
+    def test_small_jobs_past_the_reservation_fail_without_output(
+        self, files, tmp_path, capsys, ps, alpha, job, held, room
+    ):
+        _jobs, _profile, plan_out = files
+        jobs, profile = tmp_path / "other.txt", tmp_path / "other.json"
+        write_jobs(jobs, ps)
+        dump_profiles((flat_profile(alpha, 1),), str(profile))
+        out = tmp_path / "s.csv"
+        capsys.readouterr()
+        rc = main(
+            [
+                "schedule", "--plan", str(plan_out), "--jobs", str(jobs),
+                "--profile", str(profile), "--out", str(out),
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: job {job} takes the small jobs' work to {held}, past the "
+            f"{room} of machine 1's reservation: the stream or machine 1's "
+            "profile differs from pass 1's\n"
+        )
+        assert not out.exists()
+
+    def test_a_faster_machine_one_still_fits(self, files, tmp_path, capsys):
+        jobs, _profile, plan_out = files
+        profile = tmp_path / "unit.json"
+        dump_profiles((flat_profile(1.0, 1),), str(profile))
+        out = tmp_path / "s.csv"
+        assert main(
+            [
+                "schedule", "--plan", str(plan_out), "--jobs", str(jobs),
+                "--profile", str(profile), "--out", str(out),
+            ]
+        ) == 0
+        assert main(
+            [
+                "eval", "--schedule", str(out), "--profile", str(profile),
+                "--jobs", str(jobs),
+            ]
+        ) == 0
+        assert capsys.readouterr().out.endswith("sigma=11697.7777778 feasible\n")
+
+
 def json_without(key):
     return lambda text: json.dumps(
         {k: v for k, v in json.loads(text).items() if k != key}
@@ -827,6 +934,16 @@ MALFORMED = {
     ),
     "jobs-zero-schedule": (
         "schedule",
+        {"jobs": "1\n0\n2\n"},
+        "job 2: processing time must be >= 1",
+    ),
+    "jobs-zero-eval": (
+        "eval",
+        {"jobs": "1\n0\n2\n"},
+        "job 2: processing time must be >= 1",
+    ),
+    "jobs-zero-oracle": (
+        "oracle",
         {"jobs": "1\n0\n2\n"},
         "job 2: processing time must be >= 1",
     ),

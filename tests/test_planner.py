@@ -34,7 +34,7 @@ from streamsched.sketch import sketch_stream
 
 import random
 
-from conftest import make_profile
+from conftest import exact_fit_stream, make_profile
 
 
 def make_sketch(stream, eps=1.0, alpha0=1.0):
@@ -211,6 +211,29 @@ class TestPlan:
                 first_large.setdefault(placed.machine_index, placed.start)
         assert first_large[1] == pytest.approx(res)
         assert first_large[2] == 0.0
+
+    def test_small_reservation_delivers_the_small_work(self):
+        # G_1(G_1^-1(w)) can round below w; the plan steps R up to the first
+        # float by which machine 1 delivers the small jobs' work bound
+        rng = random.Random(7)
+        short = 0
+        for _ in range(1000):
+            drawn = exact_fit_stream(rng, rng.randint(1, 6), 1)
+            if drawn is None:
+                continue
+            stream, eps, alpha0 = drawn
+            first = random_profile(rng, alpha0, max_pieces=8)
+            sk = make_sketch(stream, eps, alpha0)
+            n_small = sk.n - sum(n_k for _rp, n_k in sk.entries)
+            small = budget.small_work(eps, alpha0, sk.n, sk.p_max, n_small)
+            res = plan(sk, (first,), eps, alpha0).small_reservation
+            assert first.work_at(res) >= small
+            if first.work_at(first.time_at(small)) < small:
+                short += 1
+                assert first.work_at(math.nextafter(res, 0.0)) < small
+            else:
+                assert res == first.time_at(small)
+        assert short >= 10
 
     def test_trace_signatures_unique_and_bounded(self):
         rng = random.Random(2)
