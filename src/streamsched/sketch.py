@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain, islice
 
 from . import budget
 from .model import (
@@ -202,9 +204,17 @@ class Sketch:
         )
 
 
+# Pass 1 reads the job file READ_CHARS characters at a time, completed to
+# the end of a line, and counts BLOCK jobs at a time, so it holds at most
+# one text block and one job block whatever n is.
+READ_CHARS = 16 * 1024
+BLOCK = 2048
+
+
 @dataclass
 class SketchBuilder:
-    """Single-writer streaming accumulator; call observe() per job, then finalize().
+    """Single-writer streaming accumulator; call observe() or observe_all(),
+    then finalize().
 
     The counts live in one list indexed by bucket number, in every knowledge
     mode; the modes only seed and raise the running threshold, which skips
@@ -227,90 +237,116 @@ class SketchBuilder:
         if not 0.0 < self.alpha0 <= 1.0:
             raise ValueError("alpha0 must be in (0, 1]")
         self.tau = budget.tau(self.eps, self.alpha0)
+        self._table = power_table(self.tau, 1)  # shared; only ever grows
         self.n_cur = 0
         self.p_curMax = 0
         self.p_minL = 0.0  # the running threshold; 0 while there is none
         self._counts: list[int] = [0, 0]  # indexed by bucket k, grows
         self._occupied = 0  # buckets with a nonzero count
         self._low = 1  # every bucket below this rounds below p_minL
-        if self.mode.n_upper is not None and self.mode.pmax_lower is not None:
-            self._raise_threshold(self.mode.pmax_lower, 0)
         # instrumentation for space/update-cost assertions
         self.max_live_size = 0
         self.max_store_ops = 0
+        if self.mode.n_upper is not None and self.mode.pmax_lower is not None:
+            self._raise_threshold(self.mode.pmax_lower)
 
     def live_size(self) -> int:
         return self._occupied
 
-    def _raise_threshold(self, p: int, occupied: int) -> int:
+    def _raise_threshold(self, p: int) -> None:
         """Raise p_minL to theta at (n_upper, p), which never exceeds the
         final theta, and walk low, past the counts list if need be, to the
         first bucket that rounds to p_minL or more, zeroing the buckets it
-        passes. Returns the occupied count after that."""
+        passes."""
         thr = budget.threshold(self.eps, self.alpha0, self.mode.n_upper, p)
         if thr > self.p_minL:
             self.p_minL, counts = thr, self._counts
             while rounded_value(self._low, self.tau) < thr:
                 if self._low < len(counts) and counts[self._low]:
                     counts[self._low] = 0
-                    occupied -= 1
+                    self._occupied -= 1
                 self._low += 1
-        return occupied
 
     def observe(self, p: int) -> None:
-        self.observe_all((p,))
+        self._observe_block([p])
 
     def observe_all(self, stream) -> None:
-        """observe() each processing time of the iterable in turn.
+        """observe() each processing time of the iterable in turn, BLOCK
+        jobs at a time.
 
         A time below 1, or at or past RP_LIMIT, raises ValueError naming
-        the job's position in the stream; the latter is checked only when a
-        job sets a new maximum. The counters live in locals while the
-        loop runs and are stored back when it stops, also when a job is
-        rejected part way through.
+        the job's position in the stream, once the jobs before it are
+        counted; a rejected job is not counted in n_cur. An error of the
+        iterable itself is raised once the jobs it gave before it are
+        observed, so the first bad job in stream order is the one named.
         """
-        tau = self.tau
-        table = power_table(tau, 1)
-        top = table[-1]
-        n, p_max = self.n_cur, self.p_curMax
-        max_live, max_ops = self.max_live_size, self.max_store_ops
-        counts, occupied = self._counts, self._occupied
-        skip_below = table[self._low - 1]  # the p whose bucket lies below low
-        try:
-            for p in stream:
-                if p < 1:
-                    raise ValueError(f"job {n + 1}: processing time must be >= 1")
-                n += 1
-                if p > p_max:
-                    if p >= RP_LIMIT:
-                        require_below_rp_limit(p, f"job {n}: processing time")
-                    p_max = p
-                    if self.mode.n_upper is not None:
-                        occupied = self._raise_threshold(p, occupied)
-                        skip_below = table[self._low - 1]
-                x = float(p) if p < FLOAT_EXACT else p
-                if x < skip_below:
-                    continue
-                if x < top:
-                    k = bisect_right(table, x)
-                else:
-                    k = bucket_index(p, tau)
-                    top = table[-1]
-                if k >= len(counts):
-                    counts.extend([0] * (k + 1 - len(counts)))
-                c = counts[k]
-                counts[k] = c + 1
-                # one store op per job: a kept job rounds to p_minL or more,
-                # so its bucket lies at or past low
-                if c == 0:
-                    occupied += 1
-                    max_ops = 1
-                    if occupied > max_live:
-                        max_live = occupied
-        finally:
-            self.n_cur, self.p_curMax = n, p_max
-            self.max_live_size, self.max_store_ops = max_live, max_ops
-            self._occupied = occupied
+        jobs = iter(stream)
+        while True:
+            block = []
+            try:
+                block.extend(islice(jobs, BLOCK))
+            finally:
+                # extend keeps the jobs read before an error of the iterable
+                if block:
+                    self._observe_block(block)
+            if len(block) < BLOCK:
+                return
+
+    def _observe_block(self, jobs: list) -> None:
+        """Count a nonempty list of jobs in stream order. The list is split
+        only where a new maximum moves low, which happens at most once per
+        bucket below theta over a whole stream."""
+        hi = max(jobs)
+        if min(jobs) < 1 or hi >= RP_LIMIT:
+            bad = next(i for i, p in enumerate(jobs) if not 1 <= p < RP_LIMIT)
+            if bad:
+                self._observe_block(jobs[:bad])
+            if jobs[bad] < 1:
+                raise ValueError(f"job {self.n_cur + 1}: processing time must be >= 1")
+            require_below_rp_limit(jobs[bad], f"job {self.n_cur + 1}: processing time")
+        start = 0
+        if self.mode.n_upper is not None and hi > self.p_curMax:
+            theta = partial(budget.threshold, self.eps, self.alpha0, self.mode.n_upper)
+            # theta is monotone in p, and every job before start has a theta
+            # of at most low's rounded size; so the first job past it is a
+            # new maximum, and the one that moves low
+            while theta(hi) > (stop := rounded_value(self._low, self.tau)):
+                end = next(i for i in range(start, len(jobs)) if theta(jobs[i]) > stop)
+                self._count(jobs[start:end])
+                self._raise_threshold(jobs[end])
+                start = end
+            self._raise_threshold(hi)  # low stays: this only sets p_minL
+        self._count(jobs[start:])
+        self.n_cur += len(jobs)
+        self.p_curMax = max(self.p_curMax, hi)
+
+    def _count(self, jobs: list) -> None:
+        """Add jobs that all see the same low to their buckets' counts,
+        skipping those whose bucket lies below low. The jobs are sorted, so
+        each nonempty bucket takes two bisections: one finds its index in
+        the power table, one finds the first job past it."""
+        jobs, table = sorted(jobs), self._table
+        i = bisect_left(jobs, table[self._low - 1])
+        if i == len(jobs):
+            return
+        if jobs[-1] >= table[-1]:
+            bucket_index(jobs[-1], self.tau)  # grows the shared table past it
+        counts, occupied, k = self._counts, self._occupied, self._low
+        top = bisect_right(table, jobs[-1], k)
+        if top >= len(counts):
+            counts.extend([0] * (top + 1 - len(counts)))
+        while i < len(jobs):
+            k = bisect_right(table, jobs[i], k)
+            j = bisect_left(jobs, table[k], i)
+            c = counts[k]
+            counts[k] = c + j - i
+            if not c:
+                occupied += 1
+            i = j
+        # one store op per kept job: it rounds to p_minL or more, so its
+        # bucket lies at or past low
+        self._occupied, self.max_store_ops = occupied, 1
+        self.max_live_size = max(self.max_live_size, occupied)
 
     def finalize(self) -> Sketch:
         """Raises ValueError when the stream broke a knowledge-mode promise:
@@ -348,21 +384,35 @@ class SketchBuilder:
 
 
 def iter_job_stream(path: str):
-    """Yield processing times from a job stream file, one integer per line.
+    """Iterate the processing times of a job stream file, one integer per
+    line.
 
-    Blank lines are skipped; int() ignores padding itself, so a line is
-    stripped only when int() rejects it. Lazy: never buffers the file.
+    Reads READ_CHARS characters at a time, completed to the end of a line,
+    and parses each block with one map(int). A block with a blank or
+    malformed line is parsed one line at a time: blank lines are skipped,
+    and a malformed one raises int()'s ValueError, quoting the line without
+    its padding, once the jobs before it are given. Holds one block.
     """
+    return chain.from_iterable(_job_blocks(path))
+
+
+def _job_blocks(path: str):
     with open(path) as fh:
-        for line in fh:
+        while block := fh.read(READ_CHARS) + fh.readline():
+            lines = block.split("\n")
+            if not lines[-1]:
+                lines.pop()  # the end of the block's last line
             try:
-                p = int(line)
+                jobs = list(map(int, lines))
             except ValueError:
-                line = line.strip()
-                if not line:
-                    continue
-                p = int(line)
-            yield p
+                jobs = []
+                for line in filter(None, map(str.strip, lines)):
+                    try:
+                        jobs.append(int(line))
+                    except ValueError:
+                        yield jobs
+                        raise
+            yield jobs
 
 
 def sketch_stream(

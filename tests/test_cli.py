@@ -947,6 +947,13 @@ MALFORMED = {
         {"jobs": "1\n0\n2\n"},
         "job 2: processing time must be >= 1",
     ),
+    # the reader's error comes after the jobs read before it, so the job
+    # below 1 ahead of the malformed line is the one named
+    "jobs-zero-before-malformed-sketch": (
+        "sketch",
+        {"jobs": "5\n0\nx\n"},
+        "job 2: processing time must be >= 1",
+    ),
     # a float, but no rounded size past it is: pass 2 names it too
     "jobs-p-at-limit-schedule": (
         "schedule",

@@ -1,7 +1,10 @@
+import hashlib
 import json
 import random
 import re
+import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from conftest import boundary_streams
@@ -114,6 +117,17 @@ class TestObserve:
         # a caller may replace to see the builder's counters
         rng = random.Random(4)
         stream = [rng.randint(1, 10**6) for _ in range(3000)]
+        # with n_upper=10 the new maxima 6000, 70000 and 800000 each move
+        # low past buckets that earlier jobs hold, within one block
+        decades = [3, 40, 7, 500, 6000, 2, 70000, 800000, 9, 60]
+        inputs = [
+            (stream, KnowledgeMode()),
+            (stream, KnowledgeMode(n_upper=3000, pmax_lower=10**5)),
+            (sorted(stream), KnowledgeMode()),
+            (sorted(stream), KnowledgeMode(n_upper=3000)),
+            (decades, KnowledgeMode(n_upper=10)),
+            (decades, KnowledgeMode(n_upper=10, pmax_lower=500)),
+        ]
         built = []
 
         class Recorded(SketchBuilder):
@@ -122,27 +136,39 @@ class TestObserve:
                 return super().finalize()
 
         monkeypatch.setattr(sketch_mod, "SketchBuilder", Recorded)
-        for mode in (KnowledgeMode(), KnowledgeMode(n_upper=3000, pmax_lower=10**5)):
-            one = SketchBuilder(1.0, 1.0, mode)
-            for p in stream:
-                one.observe(p)
-            built.clear()
-            sk = sketch_stream(stream, 1.0, 1.0, mode)
-            (b,) = built
-            assert sk == one.finalize()
-            assert (b.n_cur, b.p_curMax, b.p_minL) == (one.n_cur, one.p_curMax, one.p_minL)
-            assert (b.max_live_size, b.max_store_ops, b.live_size()) == (
-                one.max_live_size, one.max_store_ops, one.live_size()
-            )
+        for block in (1, 2, 3, sketch_mod.BLOCK):
+            monkeypatch.setattr(sketch_mod, "BLOCK", block)
+            for jobs, mode in inputs:
+                one = SketchBuilder(1.0, 1.0, mode)
+                for p in jobs:
+                    one.observe(p)
+                built.clear()
+                sk = sketch_stream(jobs, 1.0, 1.0, mode)
+                (b,) = built
+                assert sk == one.finalize()
+                assert (b.n_cur, b.p_curMax, b.p_minL) == (one.n_cur, one.p_curMax, one.p_minL)
+                assert (b.max_live_size, b.max_store_ops, b.live_size()) == (
+                    one.max_live_size, one.max_store_ops, one.live_size()
+                )
+        # the evictions happened: four buckets were live before 6000 arrived
+        one = SketchBuilder(1.0, 1.0, KnowledgeMode(n_upper=10))
+        one.observe_all(decades)
+        assert (one.max_live_size, one.live_size()) == (4, 3)
 
     def test_rejected_job_leaves_earlier_ones_counted(self):
-        b = SketchBuilder(1.0, 1.0)
-        b.observe(5)
-        with pytest.raises(ValueError, match="processing time must be >= 1"):
-            b.observe(0)
-        assert (b.n_cur, b.p_curMax, b.live_size()) == (1, 5, 1)
-        with pytest.raises(ValueError, match="processing time must be >= 1"):
-            sketch_stream([4, 9, -1, 3], 1.0, 1.0)
+        # neither a job below 1 nor one at or past RP_LIMIT counts in n_cur
+        for bad, message in ((0, ">= 1"), (2**1023, r"below 2\*\*1023")):
+            b = SketchBuilder(1.0, 1.0)
+            b.observe(5)
+            with pytest.raises(ValueError, match=f"^job 2: processing time must be {message}"):
+                b.observe(bad)
+            assert (b.n_cur, b.p_curMax, b.live_size()) == (1, 5, 1)
+            with pytest.raises(ValueError, match=f"^job 3: processing time must be {message}"):
+                b.observe_all([3, bad, 4])
+            b.observe_all([7])
+            assert b.finalize().n == 3
+            with pytest.raises(ValueError, match=f"^job 3: processing time must be {message}"):
+                sketch_stream([4, 9, bad, 3], 1.0, 1.0)
 
 
 class TestStreamReader:
@@ -159,6 +185,50 @@ class TestStreamReader:
         message = f"invalid literal for int() with base 10: '{line.strip()}'"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             list(iter_job_stream(str(path)))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            b"3\r\n17\r\n5\r\n",
+            b"3\r17\r5\r",
+            b"12\n345\n6789",
+            b"1\n\n  \n 22 \n\t333\t\n\n4444\n  5  ",
+            b"7\r\n\r\n 8\r9\n\n\n10 \r\n",
+        ],
+        ids=["crlf", "cr", "no-final-newline", "blank-and-padded", "mixed"],
+    )
+    def test_blocks_read_as_lines_do(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "jobs.txt"
+        path.write_bytes(text)
+        with open(path) as fh:
+            expected = [int(line) for line in fh if line.strip()]
+        for chars in (1, 2, 3, 7):
+            monkeypatch.setattr(sketch_mod, "READ_CHARS", chars)
+            assert list(iter_job_stream(str(path))) == expected
+
+    def test_malformed_line_at_a_block_edge(self, tmp_path, monkeypatch):
+        # the bad line in every position; with 1 to 7 characters a block it
+        # falls first, last and alone in a block
+        lines = ["12", "3", "", "456", "7", "89"]
+        path = tmp_path / "jobs.txt"
+        message = "invalid literal for int() with base 10: 'x'"
+        for at in range(len(lines) + 1):
+            path.write_text("\n".join(lines[:at] + [" x "] + lines[at:]) + "\n")
+            before = [int(line) for line in lines[:at] if line]
+            for chars in (1, 2, 3, 7):
+                monkeypatch.setattr(sketch_mod, "READ_CHARS", chars)
+                got = []
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    got.extend(iter_job_stream(str(path)))
+                assert got == before
+
+    def test_jobs_before_a_malformed_line_are_counted(self, tmp_path):
+        path = tmp_path / "jobs.txt"
+        path.write_text("5\nx\n")
+        b = SketchBuilder(1.0, 1.0)
+        with pytest.raises(ValueError, match="invalid literal"):
+            b.observe_all(iter_job_stream(str(path)))
+        assert (b.n_cur, b.p_curMax) == (1, 5)
 
 
 class TestFinalize:
@@ -263,6 +333,23 @@ class TestOrderInvariance:
 
 
 class TestSpaceBounds:
+    @pytest.mark.parametrize("n", [3 * 10**4, 3 * 10**5])
+    def test_pass_one_memory_does_not_grow_with_n(self, tmp_path, n):
+        # a stream-narrow-known-like file: one text block and one job block
+        # are held at a time, so the peak stays put as n grows tenfold
+        rng = random.Random(n)
+        path = tmp_path / "jobs.txt"
+        path.write_text("".join(f"{rng.randint(5 * 10**5, 10**6)}\n" for _ in range(n)))
+        mode = KnowledgeMode(n_upper=n, pmax_lower=5 * 10**5)
+        tracemalloc.start()
+        try:
+            sk = sketch_stream(iter_job_stream(str(path)), 1.0, 0.5, mode)
+            _now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sk.n == n
+        assert peak < 2**20
+
     def _log_ratio(self, x, tau):
         import math
 
@@ -344,3 +431,64 @@ class TestSerialization:
         assert RP_LIMIT // 2 <= big < RP_LIMIT
         sk = Sketch(((1, 1), (big, 1)), 2, big, 1.0, 1.0)
         assert Sketch.from_json(sk.to_json()) == sk
+
+
+def _golden_stream(seed):
+    """(stream, eps, alpha0) of the seeded sketch golden file: uniform,
+    log-uniform or few-distinct sizes up to 2**20, 2**60 or 2**200, with n
+    up to 5000, so that a stream spans several blocks of jobs."""
+    rng = random.Random(seed)
+    eps, alpha0 = rng.choice((1.0, 0.5, 0.25)), rng.choice((1.0, 0.5))
+    n = rng.randint(1, 5000)
+    top = rng.choice((2**20, 2**60, 2**200))
+    kind = seed % 3
+    if kind == 0:
+        stream = [rng.randint(1, top) for _ in range(n)]
+    elif kind == 1:
+        bits = [rng.randrange(top.bit_length() - 1) for _ in range(n)]
+        stream = [rng.randint(1 << b, (2 << b) - 1) for b in bits]
+    else:
+        sizes = [rng.randint(1, top) for _ in range(rng.randint(1, 6))]
+        stream = [rng.choice(sizes) for _ in range(n)]
+    return stream, eps, alpha0
+
+
+def _golden_runs(seed):
+    """The 12 runs of one golden stream: 4 knowledge modes, each in arrival,
+    ascending and descending order, as (sketch JSON SHA-256, n_cur,
+    p_curMax, p_minL.hex(), live_size(), max_live_size, max_store_ops)."""
+    stream, eps, alpha0 = _golden_stream(seed)
+    rng = random.Random(-1 - seed)
+    n_upper = rng.choice((len(stream), 2 * len(stream)))
+    pmax_lower = rng.randint(1, max(stream))
+    modes = (
+        KnowledgeMode(),
+        KnowledgeMode(pmax_lower=pmax_lower),
+        KnowledgeMode(n_upper=n_upper),
+        KnowledgeMode(n_upper=n_upper, pmax_lower=pmax_lower),
+    )
+    runs = []
+    for mode in modes:
+        for order in (stream, sorted(stream), sorted(stream, reverse=True)):
+            b = SketchBuilder(eps, alpha0, mode)
+            b.observe_all(order)
+            sha = hashlib.sha256(b.finalize().to_json().encode()).hexdigest()
+            runs.append([sha, b.n_cur, b.p_curMax, b.p_minL.hex(), b.live_size(),
+                         b.max_live_size, b.max_store_ops])
+    return runs
+
+
+def test_sketches_match_golden_file():
+    """The sketch and every builder counter of 100 seeded streams, each in
+    4 knowledge modes and 3 orders, pinned bit for bit.
+    tests/data/sketch_golden.json was written with the builder that counted
+    one job at a time, by
+
+        rows = [{"seed": seed, "runs": _golden_runs(seed)} for seed in range(100)]
+
+    one row per line, with json.dumps(row, sort_keys=True)."""
+    path = Path(__file__).parent / "data" / "sketch_golden.json"
+    rows = json.loads(path.read_text())
+    assert [row["seed"] for row in rows] == list(range(100))
+    for row in rows:
+        assert _golden_runs(row["seed"]) == row["runs"], row["seed"]
