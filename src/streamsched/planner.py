@@ -11,16 +11,24 @@ and the final pick: the lower sigma wins, then the lower work vector, then
 the state that arrived first.
 
 Why classes that leave sigma out cost only e^(eps/24): budget.py, step 3.
+
+`plan_at` is that loop at a given delta. `plan` runs it coarse first: V is
+V', the sum of the winner's slot ends, and L a lower bound on OPT from the
+sketch, and a run with V <= (1+eps) L is done whatever its delta. Only a
+run that no coarser one certified goes down to the proven delta.
 """
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import getitem, itemgetter
 
 from . import budget
 from .model import (
+    RP_LIMIT,
+    CapacityInterval,
     MachineProfile,
     require_alpha0,
     require_at_least,
@@ -35,9 +43,14 @@ from .model import (
     work_to_time,
 )
 from .partition import enumerate_partitions
-from .sketch import Sketch, bucket_groups
+from .sketch import Sketch, bucket_groups, bucket_index, power_table
 
 ZERO = "Z"  # signature symbol for an empty machine (log of 0 is undefined)
+
+# plan() runs the DP at the proven delta times each of these, coarsest
+# first, and stops at the first run whose V it can certify; the last run,
+# at the proven delta, needs no certificate
+TIERS = (16384, 128, 1)
 
 
 class EmptySketchError(ValueError):
@@ -100,6 +113,7 @@ _PLAN_KEYS = (
     "V", "sigma_S_prime", "eps", "alpha0", "n", "small_reservation", "groups",
     "counts",
 )
+_OPTIONAL_KEYS = ("lower_bound", "delta")
 
 
 @dataclass
@@ -115,6 +129,8 @@ class Plan:
     groups: tuple[tuple[int, int], ...]  # (rp, n_k), the sketch entries
     counts: tuple[tuple[int, ...], ...]  # [machine][group]
     max_states: int = field(default=0, compare=False)
+    lower_bound: float | None = None  # L; None in plan files that predate it
+    delta: float | None = None  # the delta the DP ran at; None likewise
 
     def __post_init__(self):
         """Raise ValueError naming the group unless every machine's `counts`
@@ -144,19 +160,27 @@ class Plan:
             "groups": [{"rp": rp, "n_k": nk} for rp, nk in self.groups],
             "counts": [list(row) for row in self.counts],
         }
+        for key in _OPTIONAL_KEYS:
+            if getattr(self, key) is not None:
+                obj[key] = getattr(self, key)
         return json.dumps(obj, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "Plan":
         """Keys this format no longer uses (older files carry some, such as
-        `starts`, `tau` and `delta`) are ignored; a missing key, a value of
+        `starts` and `tau`) are ignored, and `lower_bound` and `delta` may be
+        missing, as in files that predate them; a missing key, a value of
         the wrong JSON kind, eps, alpha0 or small_reservation out of range,
-        eps and alpha0 too small for budget.tau, or a group's rp or n_k below 1
-        raises ValueError naming it. So does a group whose rp is no rounded
-        size at the plan's tau, or at or past RP_LIMIT (see bucket_groups)."""
+        lower_bound or delta not finite and above 0, eps and alpha0 too
+        small for budget.tau, or a group's rp or n_k below 1 raises
+        ValueError naming it. So does a group whose rp is no rounded size at
+        the plan's tau, or at or past RP_LIMIT (see bucket_groups)."""
         obj = json.loads(text)
         require_keys(obj, _PLAN_KEYS, "plan JSON")
         require_numbers(obj, _PLAN_KEYS[:-2], "plan JSON")
+        optional = [key for key in _OPTIONAL_KEYS if key in obj]
+        require_numbers(obj, optional, "plan JSON")
+        require_positive(obj, optional, "plan JSON")
         require_integers(obj, ("n",), "plan JSON")
         require_positive(obj, ("eps", "alpha0"), "plan JSON", 1.0)
         tau = budget.tau(obj["eps"], obj["alpha0"])
@@ -179,6 +203,7 @@ class Plan:
             small_reservation=obj["small_reservation"],
             groups=groups,
             counts=tuple(tuple(int(c) for c in row) for row in obj["counts"]),
+            **{key: obj[key] for key in optional},
         )
 
 
@@ -191,35 +216,104 @@ def _state_bound(sketch: Sketch, alpha0: float, delta: float, m: int) -> float:
     return b_p**m
 
 
-def plan(
+def slot_value(
+    counts, groups, profiles: tuple[MachineProfile, ...], reservation: float,
+    n_small: int,
+) -> float:
+    """V', the sum of the plan's slot ends plus n_small*R: machine i's slots
+    of each group run back to back in group order from the work it delivers
+    by its head, G_1(R) on machine 1 and 0 elsewhere, as emit lays them out.
+    A large job completes by its slot's end and a small one by R, so every
+    schedule emit returns has sigma <= V' (budget.py, step 4)."""
+    total = n_small * reservation
+    for i, (profile, row) in enumerate(zip(profiles, counts)):
+        w = profile.work_at(reservation) if i == 0 else 0.0
+        for (rp, _n_k), c in zip(groups, row):
+            if c:
+                total += run_batch(profile, profile.time_at(w), c, float(rp))
+                w += c * rp
+    return total
+
+
+def _mean_profile(profiles: tuple[MachineProfile, ...]) -> MachineProfile:
+    """The machines' mean capacity, G(t) = sum of G_i(t) / m, whose capacity
+    stays in [alpha0, 1]; one machine's is its own profile."""
+    if len(profiles) == 1:
+        return profiles[0]
+    starts = sorted({iv.start for prof in profiles for iv in prof.intervals})
+    ends = starts[1:] + [math.inf]
+    m = len(profiles)
+    return MachineProfile(0, tuple(
+        CapacityInterval(t, end, sum(
+            prof._alphas[prof.interval_index_at(t)] for prof in profiles
+        ) / m)
+        for t, end in zip(starts, ends)
+    ))
+
+
+def lower_bound(sketch: Sketch, profiles: tuple[MachineProfile, ...]) -> float:
+    """L <= OPT from the sketch alone, in O(mu + pieces): the larger of two
+    bounds over the sketch's jobs, each lowered to ceil((1+tau)^(k-1)), the
+    floor of the lowest bucket k that rounds to its group. Dropping the small
+    jobs and shrinking the others cannot raise OPT.
+
+    Capacity bound: the k-th completion of any schedule comes after the k
+    smallest jobs' work S_k has been delivered, so no earlier than
+    G^-1(S_k / m) on the mean-capacity profile; within a group the S_k step
+    by its size, so each group is one batch on that profile. Speed-1 bound:
+    capacities are at most 1, and at speed 1 the k-th largest job waits for
+    ceil(k/m) jobs. The float result is rounded toward 0 by FLOAT_MARGIN."""
+    tau, m, entries = sketch.tau, len(profiles), sketch.entries
+    table = power_table(tau, bucket_index(entries[-1][0], tau))
+    # bucket k rounds to floor(table[k]), so the first k with table[k] >= rp
+    floors = [
+        math.ceil(table[max(bisect_left(table, rp), 1) - 1]) for rp, _n_k in entries
+    ]
+    mean = _mean_profile(profiles)
+    capacity, done = 0.0, 0  # done: the lowered work of the groups before
+    for f, (_rp, n_k) in zip(floors, entries):
+        capacity += run_batch(mean, mean.time_at(done / m), n_k, f / m)
+        done += n_k * f
+
+    def waits(k: int) -> int:  # sum of ceil(j/m) for j = 1..k
+        q, r = divmod(k, m)
+        return m * q * (q + 1) // 2 + r * (q + 1)
+
+    speed1, ahead = 0, 0  # an exact int; ahead: the jobs of larger groups
+    for f, (_rp, n_k) in zip(reversed(floors), reversed(entries)):
+        speed1 += f * (waits(ahead + n_k) - waits(ahead))
+        ahead += n_k
+    # lowering either bound is sound: cap the int below the float range,
+    # and drop a capacity bound that overflowed
+    if not capacity < math.inf:
+        capacity = 0.0
+    return max(capacity, float(min(speed1, RP_LIMIT))) * (1.0 - budget.FLOAT_MARGIN)
+
+
+def plan_at(
     sketch: Sketch,
     profiles: tuple[MachineProfile, ...],
     eps: float,
     alpha0: float,
-    parallel: bool = False,
+    delta: float,
     trace: list | None = None,
 ) -> Plan:
-    """Run the DP over the sketch and package the best surviving schedule.
+    """Run the DP over a nonempty sketch at ladder and prune ratio 1+delta
+    and package the best surviving schedule with its V and L.
 
     Each group's expansions are inserted one by one, one state kept per
     work signature (see the module docstring and `expand_group`). `trace`,
     if given, receives each group's surviving frontier.
 
-    eps and alpha0 must be the ones the sketch was built with. The DP is pure
-    Python, so threads cannot speed it up; parallel=True is rejected. A
-    sketch whose total work sum(rp * count) is at or past RP_LIMIT, or whose
-    V comes out past the float range, raises ValueError.
+    eps and alpha0 must be the ones the sketch was built with. A sketch
+    whose total work sum(rp * count) is at or past RP_LIMIT, or whose V
+    comes out past the float range, raises ValueError.
     """
-    if parallel:
-        raise ValueError("parallel planning is not supported")
     if (eps, alpha0) != (sketch.eps, sketch.alpha0):
         raise ValueError(
             f"plan eps={eps}, alpha0={alpha0} differ from the sketch's "
             f"eps={sketch.eps}, alpha0={sketch.alpha0}"
         )
-    if not sketch.entries:
-        raise EmptySketchError("sketch has no entries")
-    delta = budget.delta(eps, alpha0, len(sketch.entries))
     require_alpha0(profiles, alpha0)
     require_distinct_machines(profiles)
     require_below_rp_limit(
@@ -245,13 +339,6 @@ def plan(
 
     # the keep rule; the work vectors are distinct
     state = min(frontier.values(), key=itemgetter(0, 1))
-    sigma_sp = state[0]
-    factor = budget.value_factor(eps)
-    V = factor * sigma_sp
-    if not math.isfinite(V):
-        raise ValueError(
-            f"V = {factor} * sigma_S' = {sigma_sp} is past the float range"
-        )
 
     # counts[machine][group]: one split per group along the winner's chain
     splits, link = [], state[2:]
@@ -266,9 +353,13 @@ def plan(
     first, reservation = profiles[0], profiles[0].time_at(small)
     while first.work_at(reservation) < small:
         reservation = math.nextafter(reservation, math.inf)
+    slots = slot_value(counts, sketch.entries, profiles, reservation, n_small)
+    V = slots * (1.0 + budget.FLOAT_MARGIN)
+    if not math.isfinite(V):
+        raise ValueError(f"V = {V} from slot ends {slots} is past the float range")
     return Plan(
         V=V,
-        sigma_S_prime=sigma_sp,
+        sigma_S_prime=state[0],
         eps=eps,
         alpha0=alpha0,
         n=sketch.n,
@@ -276,4 +367,43 @@ def plan(
         groups=sketch.entries,
         counts=counts,
         max_states=max_states,
+        lower_bound=lower_bound(sketch, profiles),
+        delta=delta,
     )
+
+
+def plan(
+    sketch: Sketch,
+    profiles: tuple[MachineProfile, ...],
+    eps: float,
+    alpha0: float,
+    parallel: bool = False,
+    trace: list | None = None,
+) -> Plan:
+    """Plan coarse first and stop on a certificate: run `plan_at` at the
+    proven delta times each of TIERS in turn and return the first plan with
+    V <= (1+eps) L, or else the proven-delta plan (budget.py, "The
+    certificate"). Its max_states is the peak over every run, and `trace`,
+    if given, receives the returned run's frontiers.
+
+    The DP is pure Python, so threads cannot speed it up; parallel=True is
+    rejected. An empty sketch raises EmptySketchError; see `plan_at` for
+    the rest.
+    """
+    if parallel:
+        raise ValueError("parallel planning is not supported")
+    if not sketch.entries:
+        raise EmptySketchError("sketch has no entries")
+    proven = budget.delta(eps, alpha0, len(sketch.entries))
+    peak = 0
+    for k in TIERS:
+        frontiers = None if trace is None else []
+        pl = plan_at(sketch, profiles, eps, alpha0, proven * k, frontiers)
+        peak = max(peak, pl.max_states)
+        if pl.V <= (1.0 + eps) * pl.lower_bound:
+            break
+    pl.max_states = peak
+    if trace is not None:
+        for frontier in frontiers:
+            trace.append(frontier)
+    return pl

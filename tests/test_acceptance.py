@@ -87,6 +87,8 @@ def test_criterion_1_approximation_sandwich(instance_batch):
         opt, v, eps = r["opt"], r["plan"].V, r["eps"]
         assert opt <= v * (1 + REL), (opt, v)
         assert v <= (1 + eps) * opt * (1 + REL), (v, eps, opt)
+        # V is the plan's slot ends, rounded up: no emit passes it
+        assert evaluate_schedule(r["inst"], r["schedule"]) <= v, (v, opt)
     assert elapsed < 120.0
     _announce(1, f"{len(runs)} instances, OPT <= V <= (1+eps)*OPT, {elapsed:.1f}s")
 
@@ -151,7 +153,7 @@ def test_sandwich_at_small_alpha0():
         assert opt <= pl.V * (1 + REL), case
         assert pl.V <= (1 + eps) * opt * (1 + REL), case
         assert sigma <= (1 + eps) * opt * (1 + REL), case
-        assert sigma <= pl.V * (1 + REL), case
+        assert sigma <= pl.V, case  # exactly: V is rounded up
         small += report.small_placed
     # the eleven-job case: nothing is small, so nothing is reserved and the
     # schedule is optimal
@@ -278,7 +280,7 @@ def test_criterion_6_prune_soundness(instance_batch):
     for r in runs:
         sk, pl = r["sketch"], r["plan"]
         m = len(r["inst"].machines)
-        delta = budget.delta(pl.eps, pl.alpha0, len(sk.entries))
+        delta = pl.delta  # the delta of the run plan() returned
         bound = _state_bound(sk, r["alpha0"], delta, m)
         inv_log = 1.0 / math.log1p(delta)
         for frontier in r["trace"]:

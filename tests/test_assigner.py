@@ -19,7 +19,7 @@ from streamsched.model import (
     work_to_time,
 )
 from streamsched.oracle import brute_force_opt
-from streamsched.planner import Plan, plan
+from streamsched.planner import Plan, plan, plan_at
 from streamsched.sketch import (
     KnowledgeMode, bucket_index, rounded_value, sketch_stream,
 )
@@ -181,7 +181,11 @@ class TestEmit:
             for i in range(2)
         )
         stream = [1] * 3 + [3] * 4 + [100] * 7 + [230] * 6 + [5000] * 5
-        pl = build_plan(stream, profiles, eps=1.0, alpha0=0.5)
+        # at the proven delta the plan splits the 5000s 3-2; plan()'s
+        # certified coarse run puts 4 on machine 2, short of piece 300 on 1
+        sk = sketch_stream(stream, 1.0, 0.5)
+        delta = budget.delta(1.0, 0.5, len(sk.entries))
+        pl = plan_at(sk, profiles, 1.0, 0.5, delta)
         assert all(any(row) for row in pl.counts)
         for _ in range(4):
             rng.shuffle(stream)

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from streamsched import budget
 from streamsched.cli import main
 from streamsched.model import (
     CapacityInterval,
@@ -11,6 +12,7 @@ from streamsched.model import (
     dump_profiles,
     flat_profile,
 )
+from streamsched.planner import plan_at
 from streamsched.sketch import sketch_stream
 
 # written while plans still carried the planned slot starts; the jobs are
@@ -526,7 +528,12 @@ class TestSubcommands:
         dump_profiles(OLDER_PROFILES, str(profile))
         old_plan = tmp_path / "old_plan.json"
         old_plan.write_text(OLDER_PLAN)
-        new_plan = sketch_and_plan(tmp_path, jobs, profile, alpha0="0.5")
+        # the older plan ran at the proven delta, so the fresh one does too
+        # (plan() would stop at a coarser certified run with other counts)
+        sk = sketch_stream(OLDER_JOBS, 1.0, 0.5)
+        delta = budget.delta(1.0, 0.5, len(sk.entries))
+        new_plan = tmp_path / "plan.json"
+        new_plan.write_text(plan_at(sk, OLDER_PROFILES, 1.0, 0.5, delta).to_json())
         assert "starts" not in json.loads(new_plan.read_text())
         rows = []
         for pl in (old_plan, new_plan):
@@ -840,6 +847,31 @@ MALFORMED = {
         {"plan": json_with(small_reservation=-5)},
         "plan JSON: small_reservation must be >= 0 and finite, got -5",
     ),
+    "plan-zero-lower-bound": (
+        "schedule",
+        {"plan": json_with(lower_bound=0)},
+        "plan JSON: lower_bound must be > 0 and finite, got 0",
+    ),
+    "plan-nan-lower-bound": (
+        "schedule",
+        {"plan": json_with(lower_bound=math.nan)},
+        "plan JSON: lower_bound must be > 0 and finite, got NaN",
+    ),
+    "plan-infinite-delta": (
+        "schedule",
+        {"plan": json_with(delta=math.inf)},
+        "plan JSON: delta must be > 0 and finite, got Infinity",
+    ),
+    "plan-negative-delta": (
+        "schedule",
+        {"plan": json_with(delta=-0.5)},
+        "plan JSON: delta must be > 0 and finite, got -0.5",
+    ),
+    "plan-null-delta": (
+        "schedule",
+        {"plan": json_with(delta=None)},
+        "plan JSON 'delta' must be a number, got null",
+    ),
     "plan-negative-rp": (
         "schedule",
         {"plan": json_with(groups=[{"rp": -3, "n_k": 2}, {"rp": 2, "n_k": 1}])},
@@ -998,10 +1030,12 @@ MALFORMED = {
         "sketch's total work sum(rp * count) must be below 2**1023, got an "
         "integer of 309 digits",
     ),
+    # V, the slot ends 2**1020 * (1 + 2 + 3 + 4) / 0.5 at least, passes the
+    # float range
     "sketch-value-past-float": (
         "approximate",
         {
-            "sketch": sketch_stream([2**1020] * 3, 1.0, 0.5).to_json(),
+            "sketch": sketch_stream([2**1020] * 4, 1.0, 0.5).to_json(),
             "profile": '[{"machine": 1, "pieces": [{"end": null, "alpha": 0.5}]}]',
         },
         "is past the float range",

@@ -28,6 +28,7 @@ from streamsched.planner import (
     ZERO,
     expand_group,
     plan,
+    plan_at,
     signature,
 )
 from streamsched.sketch import sketch_stream
@@ -42,8 +43,13 @@ def make_sketch(stream, eps=1.0, alpha0=1.0):
 
 
 def delta_of(sketch, eps, alpha0):
-    """The planner's delta for a sketch: one mu per group."""
+    """The planner's proven delta for a sketch: one mu per group."""
     return budget.delta(eps, alpha0, len(sketch.entries))
+
+
+def plan_proven(sketch, profiles, eps, alpha0, trace=None):
+    """The DP at the proven delta, the run plan() falls back to."""
+    return plan_at(sketch, profiles, eps, alpha0, delta_of(sketch, eps, alpha0), trace)
 
 
 class TestDelta:
@@ -167,7 +173,8 @@ class TestPlan:
         sk = make_sketch([1, 1, 2])
         pl = plan(sk, (unit_profile,), 1.0, 1.0)
         assert pl.sigma_S_prime == pytest.approx(7.0)
-        assert pl.V == pytest.approx(448 / 45)
+        # no job is small, so V is the slot ends 1 + 2 + 4, rounded up
+        assert pl.V == 7.0 * (1.0 + budget.FLOAT_MARGIN)
         inst = Instance((unit_profile,), (Job(1, 1), Job(2, 1), Job(3, 2)), 1.0)
         opt = brute_force_opt(inst).opt_value
         assert opt <= pl.V <= 2 * opt + 1e-9
@@ -241,7 +248,7 @@ class TestPlan:
         stream = [rng.randint(1, 20) for _ in range(7)]
         sk = sketch_stream(stream, 0.5, 0.5)
         trace = []
-        plan(sk, profiles, 0.5, 0.5, trace=trace)
+        plan_proven(sk, profiles, 0.5, 0.5, trace=trace)
         inv_log = 1.0 / math.log1p(delta_of(sk, 0.5, 0.5))
         for frontier in trace:
             sigs = [signature(state[1], inv_log) for state in frontier.values()]
@@ -282,8 +289,9 @@ class TestPlan:
         sk = make_sketch([1, 1, 2])
         pl = plan(sk, (unit_profile,), 1.0, 1.0)
         back = Plan.from_json(pl.to_json())
-        assert back.to_json() == pl.to_json()
-        assert not {"tau", "delta"} & json.loads(pl.to_json()).keys()
+        assert back.to_json() == pl.to_json() and back == pl
+        keys = json.loads(pl.to_json()).keys()
+        assert "tau" not in keys and {"lower_bound", "delta"} <= keys
 
     def test_older_format_loads(self, unit_profile):
         # written while plans still carried k, p_max, p_minL_final and
@@ -300,10 +308,17 @@ class TestPlan:
         pl = plan(make_sketch([1, 1, 2]), (unit_profile,), 1.0, 1.0)
         older = Plan.from_json(text)
         # its reservation was sized eps*p_max/(3n); a fresh plan's holds
-        # only the small jobs' work, and [1, 1, 2] has none
+        # only the small jobs' work, and [1, 1, 2] has none. It keeps its
+        # V and delta, and has no lower bound
         assert older.small_reservation == 0.2222222222222222
         assert pl.small_reservation == 0.0
-        assert dataclasses.replace(older, small_reservation=0.0) == pl
+        assert (older.V, older.delta, older.lower_bound) == (
+            9.955555555555554, 0.020833333333333332, None
+        )
+        assert dataclasses.replace(
+            older, small_reservation=0.0, V=pl.V, delta=pl.delta,
+            lower_bound=pl.lower_bound,
+        ) == pl
         schedule, report = emit(older, [1, 1, 2], (unit_profile,))
         jobs = (Job(1, 1), Job(2, 1), Job(3, 2))
         sigma = evaluate_schedule(Instance((unit_profile,), jobs, 1.0), schedule)
@@ -344,19 +359,19 @@ class TestPlannerScale:
     def test_roadmap_baseline_frontier(self):
         # n=20, m=2, eps=0.5, alpha0=0.5, p<=20: signature-only peak 52,780
         sk, profiles = _random_case(1, 20, 2, 0.5, 0.5, 20)
-        assert plan(sk, profiles, 0.5, 0.5).max_states <= 400  # now 190
+        assert plan_proven(sk, profiles, 0.5, 0.5).max_states <= 400  # now 190
 
     def test_n40_m2_plans(self):
         # signature-only pruning ran past 120 s on this size class
         sk, profiles = _random_case(0, 40, 2, 1.0, 1.0, 100)
-        assert plan(sk, profiles, 1.0, 1.0).max_states <= 4400  # now 2195
+        assert plan_proven(sk, profiles, 1.0, 1.0).max_states <= 4400  # now 2195
 
     def test_n40_m3_frontier_pinned(self):
         # total work * delta is below 1, so the prune removes nothing and
         # this is the exact DP's peak
         inst = random_instance(random.Random(1), 40, 3, 20, 0.5)
         sk = sketch_stream([j.p for j in inst.jobs], 1.0, 0.5)
-        assert plan(sk, inst.machines, 1.0, 0.5).max_states == 77421
+        assert plan_proven(sk, inst.machines, 1.0, 0.5).max_states == 77421
 
 
 class TestActivePrune:
@@ -370,7 +385,7 @@ class TestActivePrune:
         stream = [j.p for j in inst.jobs]
         sk = sketch_stream(stream, eps, alpha0)
         trace = []
-        pl = plan(sk, inst.machines, eps, alpha0, trace=trace)
+        pl = plan_proven(sk, inst.machines, eps, alpha0, trace=trace)
         delta = delta_of(sk, eps, alpha0)
         assert sum(rp * c for rp, c in sk.entries) * delta > 1
         bound = planner._state_bound(sk, alpha0, delta, len(inst.machines))
@@ -386,6 +401,56 @@ class TestActivePrune:
         assert pl.max_states == max_states
 
 
+class TestCertifyOrRefine:
+    def test_sandwich_and_certificate_against_the_oracle(self):
+        """plan() on 432 seeded instances, m <= 3 and n <= 10: L <= OPT <= V
+        and sigma <= V exactly in floats, V <= (1+eps) OPT, V <= (1+eps) L
+        on every run that stopped above the proven delta, and every tier
+        reached."""
+        stopped = dict.fromkeys(planner.TIERS, 0)
+        seed = 0
+        for eps, alpha0, m in itertools.product(
+            (0.05, 0.1, 0.3, 1.0), (0.3, 0.5, 1.0), (1, 2, 3)
+        ):
+            for _ in range(12):
+                seed += 1
+                rng = random.Random(seed)
+                inst = random_instance(
+                    rng, rng.randint(1, 10), m, rng.choice((20, 1000)), alpha0
+                )
+                stream = [j.p for j in inst.jobs]
+                sk = sketch_stream(stream, eps, alpha0)
+                pl = plan(sk, inst.machines, eps, alpha0)
+                opt = brute_force_opt(inst).opt_value
+                schedule, _ = emit(pl, stream, inst.machines)
+                sigma = evaluate_schedule(inst, schedule)
+                case = (seed, eps, alpha0, pl.lower_bound, opt, sigma, pl.V)
+                assert pl.lower_bound <= opt <= pl.V and sigma <= pl.V, case
+                assert pl.V <= (1 + eps) * opt, case
+                tier = pl.delta / delta_of(sk, eps, alpha0)
+                stopped[round(tier)] += 1
+                if pl.delta != delta_of(sk, eps, alpha0):
+                    assert pl.V <= (1 + eps) * pl.lower_bound, case
+        assert min(stopped.values()) >= 1, stopped
+
+    def test_fallback_returns_the_proven_run(self):
+        # not certified above the proven delta; max_states is the peak over
+        # all three runs, and the trace holds the returned run's frontiers
+        inst = random_instance(random.Random(1), 10, 3, 20, 0.5)
+        sk = sketch_stream([j.p for j in inst.jobs], 0.05, 0.5)
+        trace, proven_trace = [], []
+        pl = plan(sk, inst.machines, 0.05, 0.5, trace=trace)
+        proven = plan_proven(sk, inst.machines, 0.05, 0.5, trace=proven_trace)
+        assert pl == proven and pl.delta == delta_of(sk, 0.05, 0.5)
+        assert pl.V > (1 + 0.05) * pl.lower_bound
+        peaks = [
+            plan_at(sk, inst.machines, 0.05, 0.5, pl.delta * k).max_states
+            for k in planner.TIERS
+        ]
+        assert pl.max_states == max(peaks) and peaks[0] < peaks[-1]
+        assert trace == proven_trace
+
+
 def _golden_case(seed):
     rng = random.Random(seed)
     m = rng.randint(1, 3)
@@ -398,10 +463,11 @@ def _golden_case(seed):
 
 
 def test_plans_match_golden_file():
-    """sigma_S', counts and max_states of 100 seeded plans, pinned bit for
-    bit. sigma_S' rather than V, so that a change to V's factor leaves the
-    file valid. tests/data/plan_golden.json was written with the planner
-    that merged each group by work vector and then pruned it, by
+    """sigma_S', counts and max_states of 100 seeded plans at the proven
+    delta, pinned bit for bit. sigma_S' rather than V, so that a change to
+    how V is formed leaves the file valid. tests/data/plan_golden.json was
+    written with the planner that merged each group by work vector and then
+    pruned it, when plan() ran at the proven delta alone, by
 
         rows = []
         for seed in range(100):
@@ -415,29 +481,31 @@ def test_plans_match_golden_file():
     rows = json.loads(path.read_text())
     assert [row["seed"] for row in rows] == list(range(100))
     for row in rows:
-        pl = plan(*_golden_case(row["seed"]))
+        pl = plan_proven(*_golden_case(row["seed"]))
         got = (pl.sigma_S_prime.hex(), [list(r) for r in pl.counts], pl.max_states)
         assert got == (row["sigma_S_prime"], row["counts"], row["max_states"]), row
 
 
 class TestKeepRuleTies:
     # flat unit profiles with integer sizes give many exact total-sigma ties
-    # between different work vectors (64 at m=2, 307 at m=3), so V, counts and
-    # max_states pin the tie-break: flattened (work, sigma), then first arrival
+    # between different work vectors (64 at m=2, 307 at m=3), so sigma_S',
+    # counts and max_states at the proven delta pin the tie-break: flattened
+    # (work, sigma), then first arrival
     def test_tie_break_is_pinned(self):
         rng = random.Random(1)
         cases = (
-            (16, 2, 174, 816.3555555555555,
+            (16, 2, 174, 574.0,
              ((1, 0, 1, 1, 0, 1, 1, 0, 1, 1, 1, 0),
               (0, 1, 1, 0, 1, 0, 1, 1, 0, 2, 0, 1))),
-            (10, 3, 2460, 142.2222222222222,
+            (10, 3, 2460, 100.0,
              ((1, 1, 0, 0, 1, 0, 0), (1, 0, 1, 0, 0, 1, 0), (2, 0, 0, 1, 0, 0, 1))),
         )
-        for n, m, max_states, V, counts in cases:
+        for n, m, max_states, sigma, counts in cases:
             stream = [rng.randint(1, 20) for _ in range(n)]
             profiles = tuple(flat_profile(1.0, i + 1) for i in range(m))
-            pl = plan(make_sketch(stream), profiles, 1.0, 1.0)
-            assert (pl.max_states, pl.V, pl.counts) == (max_states, V, counts)
+            pl = plan_proven(make_sketch(stream), profiles, 1.0, 1.0)
+            got = (pl.max_states, pl.sigma_S_prime, pl.counts)
+            assert got == (max_states, sigma, counts)
 
 
 class TestDeltaCloseCoverage:
@@ -472,7 +540,7 @@ class TestPrefixWorkBound:
         stream = [1, 1, 2, 2, 3]
         sk = sketch_stream(stream, 1.0, 0.5)
         trace = []
-        pl = plan(sk, profiles, 1.0, 0.5, trace=trace)
+        plan_proven(sk, profiles, 1.0, 0.5, trace=trace)
         delta = delta_of(sk, 1.0, 0.5)
 
         expanded = []  # (group position, rp) per sketch job
