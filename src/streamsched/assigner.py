@@ -23,13 +23,12 @@ import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 
 from . import budget
 from .model import (
     RP_LIMIT, MachineProfile, Schedule, require_below_rp_limit, work_to_time,
 )
-from .planner import Plan
+from .planner import Plan, slot_works
 from .sketch import FLOAT_EXACT, bucket_groups, power_table
 
 
@@ -75,13 +74,9 @@ def emit(
     # a small job rounds to theta or less, below every group's rp
     low = table[group_of.index(0) - 1] if groups else math.inf
     # slot_work[i][g]: the work machine i has delivered when its first slot
-    # of group g starts. Groups run back to back in size order, machine 1's
-    # after the small-job reservation at its head, which holds heads[0] work.
-    heads = [first.work_at(plan.small_reservation)] + [0.0] * (m - 1)
-    slot_work = [
-        list(accumulate((c * rp for rp, c in zip(rps, row)), initial=w))
-        for w, row in zip(heads, plan.counts)
-    ]
+    # of group g starts; machine 1's reservation holds head = slot_work[0][0]
+    slot_work = slot_works(plan.counts, rps, profiles, plan.small_reservation)
+    head = slot_work[0][0]
     # each machine's interval tables; works gets an infinite sentinel so the
     # cursor walk needs no bound check
     tables = [
@@ -133,10 +128,10 @@ def emit(
                 )
                 raise StreamMismatchError(f"job {job_id} (p={p}) rounds {where}")
             small_sum += p
-            if small_sum > heads[0]:
+            if small_sum > head:
                 raise StreamMismatchError(
                     f"job {job_id} (p={p}) takes the small jobs' work to {small_sum}, "
-                    f"past the {heads[0]} of machine 1's reservation: the "
+                    f"past the {head} of machine 1's reservation: the "
                     "stream or machine 1's profile differs from pass 1's"
                 )
             profile, start = first, small_cursor

@@ -23,6 +23,7 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate
 from operator import getitem, itemgetter
 
 from . import budget
@@ -50,7 +51,7 @@ ZERO = "Z"  # signature symbol for an empty machine (log of 0 is undefined)
 # plan() runs the DP at the proven delta times each of these, coarsest
 # first, and stops at the first run whose V it can certify; the last run,
 # at the proven delta, needs no certificate
-TIERS = (16384, 128, 1)
+TIERS = (16384, 1)
 
 
 class EmptySketchError(ValueError):
@@ -216,22 +217,36 @@ def _state_bound(sketch: Sketch, alpha0: float, delta: float, m: int) -> float:
     return b_p**m
 
 
+def slot_works(
+    counts, rps, profiles: tuple[MachineProfile, ...], reservation: float,
+) -> list[list[float]]:
+    """The plan's slot layout: [i][g] is the work machine i has delivered
+    when its first slot of group g starts, and [i][-1] when its last slot
+    ends. Each machine's groups run back to back in size order from the
+    work it delivers by its head, G_1(R) on machine 1, whose reservation R
+    holds the small jobs, and 0 elsewhere. emit places the jobs on this
+    layout and slot_value sums its slot ends."""
+    heads = [profiles[0].work_at(reservation)] + [0.0] * (len(profiles) - 1)
+    return [
+        list(accumulate((c * rp for rp, c in zip(rps, row)), initial=w))
+        for w, row in zip(heads, counts)
+    ]
+
+
 def slot_value(
     counts, groups, profiles: tuple[MachineProfile, ...], reservation: float,
     n_small: int,
 ) -> float:
-    """V', the sum of the plan's slot ends plus n_small*R: machine i's slots
-    of each group run back to back in group order from the work it delivers
-    by its head, G_1(R) on machine 1 and 0 elsewhere, as emit lays them out.
-    A large job completes by its slot's end and a small one by R, so every
+    """V', the sum of the slot ends of slot_works' layout plus n_small*R. A
+    large job completes by its slot's end and a small one by R, so every
     schedule emit returns has sigma <= V' (budget.py, step 4)."""
     total = n_small * reservation
-    for i, (profile, row) in enumerate(zip(profiles, counts)):
-        w = profile.work_at(reservation) if i == 0 else 0.0
-        for (rp, _n_k), c in zip(groups, row):
+    rps = [rp for rp, _n_k in groups]
+    layout = slot_works(counts, rps, profiles, reservation)
+    for profile, row, starts in zip(profiles, counts, layout):
+        for rp, c, w in zip(rps, row, starts):
             if c:
                 total += run_batch(profile, profile.time_at(w), c, float(rp))
-                w += c * rp
     return total
 
 
@@ -299,7 +314,8 @@ def plan_at(
     trace: list | None = None,
 ) -> Plan:
     """Run the DP over a nonempty sketch at ladder and prune ratio 1+delta
-    and package the best surviving schedule with its V and L.
+    and package the best surviving schedule with its V; its lower_bound is
+    left to `plan`.
 
     Each group's expansions are inserted one by one, one state kept per
     work signature (see the module docstring and `expand_group`). `trace`,
@@ -367,7 +383,6 @@ def plan_at(
         groups=sketch.entries,
         counts=counts,
         max_states=max_states,
-        lower_bound=lower_bound(sketch, profiles),
         delta=delta,
     )
 
@@ -383,8 +398,10 @@ def plan(
     """Plan coarse first and stop on a certificate: run `plan_at` at the
     proven delta times each of TIERS in turn and return the first plan with
     V <= (1+eps) L, or else the proven-delta plan (budget.py, "The
-    certificate"). Its max_states is the peak over every run, and `trace`,
-    if given, receives the returned run's frontiers.
+    certificate"). L is computed once, after the first run has checked the
+    inputs, and set as the plan's lower_bound. Its max_states is the peak
+    over every run, and `trace`, if given, receives the returned run's
+    frontiers.
 
     The DP is pure Python, so threads cannot speed it up; parallel=True is
     rejected. An empty sketch raises EmptySketchError; see `plan_at` for
@@ -395,14 +412,16 @@ def plan(
     if not sketch.entries:
         raise EmptySketchError("sketch has no entries")
     proven = budget.delta(eps, alpha0, len(sketch.entries))
-    peak = 0
+    peak, bound = 0, None
     for k in TIERS:
         frontiers = None if trace is None else []
         pl = plan_at(sketch, profiles, eps, alpha0, proven * k, frontiers)
         peak = max(peak, pl.max_states)
-        if pl.V <= (1.0 + eps) * pl.lower_bound:
+        if bound is None:
+            bound = lower_bound(sketch, profiles)
+        if pl.V <= (1.0 + eps) * bound:
             break
-    pl.max_states = peak
+    pl.max_states, pl.lower_bound = peak, bound
     if trace is not None:
         for frontier in frontiers:
             trace.append(frontier)

@@ -27,6 +27,7 @@ from streamsched.planner import (
     Plan,
     ZERO,
     expand_group,
+    lower_bound,
     plan,
     plan_at,
     signature,
@@ -435,13 +436,16 @@ class TestCertifyOrRefine:
 
     def test_fallback_returns_the_proven_run(self):
         # not certified above the proven delta; max_states is the peak over
-        # all three runs, and the trace holds the returned run's frontiers
+        # every run, L is the sketch's, and the trace holds the returned
+        # run's frontiers
         inst = random_instance(random.Random(1), 10, 3, 20, 0.5)
         sk = sketch_stream([j.p for j in inst.jobs], 0.05, 0.5)
         trace, proven_trace = [], []
         pl = plan(sk, inst.machines, 0.05, 0.5, trace=trace)
         proven = plan_proven(sk, inst.machines, 0.05, 0.5, trace=proven_trace)
-        assert pl == proven and pl.delta == delta_of(sk, 0.05, 0.5)
+        assert pl.lower_bound == lower_bound(sk, inst.machines)
+        assert pl == dataclasses.replace(proven, lower_bound=pl.lower_bound)
+        assert pl.delta == delta_of(sk, 0.05, 0.5)
         assert pl.V > (1 + 0.05) * pl.lower_bound
         peaks = [
             plan_at(sk, inst.machines, 0.05, 0.5, pl.delta * k).max_states
