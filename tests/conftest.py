@@ -1,10 +1,13 @@
 import math
+import random
 
 import pytest
 
 from streamsched import budget
-from streamsched.model import CapacityInterval, MachineProfile, flat_profile
-from streamsched.sketch import bucket_index, rounded_value
+from streamsched.model import (
+    CapacityInterval, MachineProfile, flat_profile, random_instance,
+)
+from streamsched.sketch import bucket_index, rounded_value, sketch_stream
 
 
 def make_profile(pieces, machine_index=1):
@@ -49,6 +52,24 @@ def exact_fit_stream(rng, n_small, n_large):
             large = [rng.randint(theta + 1, p_max) for _ in range(n_large - 1)]
             return [theta] * n_small + large + [p_max], eps, alpha0
     return None
+
+
+def golden_instance(seed):
+    """(stream, profiles, eps, alpha0) of the seeded plan and emit golden
+    files: m <= 3 random profiles and up to 14 jobs (9 at m = 3)."""
+    rng = random.Random(seed)
+    m = rng.randint(1, 3)
+    n = rng.randint(1, 14 if m < 3 else 9)
+    max_p = rng.choice((5, 20, 100, 1000))
+    eps, alpha0 = rng.choice((0.3, 0.5, 1.0)), rng.choice((0.3, 0.5, 1.0))
+    inst = random_instance(rng, n, m, max_p, alpha0)
+    return [j.p for j in inst.jobs], inst.machines, eps, alpha0
+
+
+def golden_case(seed):
+    """(sketch, profiles, eps, alpha0) of golden_instance(seed)."""
+    stream, profiles, eps, alpha0 = golden_instance(seed)
+    return sketch_stream(stream, eps, alpha0), profiles, eps, alpha0
 
 
 @pytest.fixture

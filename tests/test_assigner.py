@@ -1,10 +1,16 @@
+import dataclasses
+import hashlib
 import itertools
+import json
 import math
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
-from conftest import boundary_streams, exact_fit_stream, make_profile
+from conftest import (
+    boundary_streams, exact_fit_stream, golden_instance, make_profile,
+)
 
 from streamsched import budget
 from streamsched.assigner import StreamMismatchError, emit
@@ -382,3 +388,101 @@ def test_emit_holds_at_most_40_bytes_per_job():
         tracemalloc.stop()
     assert len(schedule.placements) == n
     assert peak <= 40 * n, f"{peak / n:.1f} bytes per job"
+
+
+def _emit_golden_cases():
+    """(name, plan, stream, profiles) of the emit golden file: the 100 plan
+    golden instances at the proven delta; 20 exact-fit streams, whose small
+    jobs fill the reservation; 10 instances of 400 to 600 jobs on two or
+    three 30-piece profiles, whose pieces are scaled to the work so that
+    slots cross interval boundaries throughout and each group's slots move
+    between machines, planned at 16,384 times the proven delta (the
+    proven-delta DP takes minutes there); and a hand-built plan on three
+    machines whose only group has no slot on machine 2."""
+    def plan_times(stream, profiles, eps, alpha0, k=1):
+        sk = sketch_stream(stream, eps, alpha0)
+        delta = budget.delta(eps, alpha0, len(sk.entries))
+        return plan_at(sk, profiles, eps, alpha0, k * delta)
+
+    for seed in range(100):
+        stream, profiles, eps, alpha0 = golden_instance(seed)
+        yield f"golden {seed}", plan_times(stream, profiles, eps, alpha0), stream, profiles
+    rng = random.Random(28)
+    drawn = []
+    while len(drawn) < 20:
+        case = exact_fit_stream(rng, rng.randint(1, 6), rng.randint(1, 3))
+        if case is not None:
+            stream, eps, alpha0 = case
+            profiles = tuple(
+                random_profile(rng, alpha0, i, max_pieces=8)
+                for i in range(1, rng.randint(1, 2) + 1)
+            )
+            drawn.append((stream, profiles, eps, alpha0))
+    for k, (stream, profiles, eps, alpha0) in enumerate(drawn):
+        yield f"exact fit {k}", plan_times(stream, profiles, eps, alpha0), stream, profiles
+    for seed in range(10):
+        rng = random.Random(seed)
+        m, n = rng.randint(2, 3), rng.randint(400, 600)
+        eps, alpha0 = rng.choice((0.5, 1.0)), rng.choice((0.5, 1.0))
+        sizes = [rng.randint(1, 1000) for _ in range(rng.randint(3, 8))]
+        stream = [rng.choice(sizes) for _ in range(n)]
+        scale = sum(stream) / (m * 30 * 4.25)  # 4.25, the mean piece length
+        profiles = tuple(
+            make_profile(
+                [(rng.uniform(0.5, 8.0) * scale, rng.uniform(alpha0, 1.0))
+                 for _ in range(29)] + [(None, rng.uniform(alpha0, 1.0))],
+                machine_index=i,
+            )
+            for i in range(1, m + 1)
+        )
+        pl = plan_times(stream, profiles, eps, alpha0, 16384)
+        yield f"deep {seed}", pl, stream, profiles
+    rng = random.Random(29)
+    rp = rounded_value(bucket_index(7, 1 / 30), 1 / 30)
+    pl = hand_plan(((rp, 5),), ((2,), (0,), (3,)), 5)
+    profiles = tuple(random_profile(rng, 0.5, i) for i in (1, 2, 3))
+    yield "skip machine 2", pl, [rp] * 5, profiles
+
+
+def _emit_digest(case_index, pl, stream, profiles):
+    """SHA-256 over every placement (job id, machine, start and completion
+    as float.hex) and the EmitReport of the stream in given, ascending and
+    descending order, then the error class and text of a given-order replay
+    with one job edited: to twice the largest job, to 1 or to one more."""
+    digest = hashlib.sha256()
+    for order in (stream, sorted(stream), sorted(stream, reverse=True)):
+        schedule, report = emit(pl, order, profiles)
+        for job_id, machine, start, completion in schedule.placements:
+            digest.update(
+                f"{job_id} {machine} {start.hex()} {completion.hex()}\n".encode()
+            )
+        digest.update(f"{dataclasses.astuple(report)}\n".encode())
+    k = case_index % len(stream)
+    edited = list(stream)
+    edited[k] = (2 * max(stream), 1, stream[k] + 1)[case_index % 3]
+    try:
+        emit(pl, edited, profiles)
+        outcome = "no error"
+    except ValueError as e:
+        outcome = f"{type(e).__name__}: {e}"
+    digest.update(outcome.encode())
+    return digest.hexdigest()
+
+
+def test_emits_match_golden_file():
+    """Every placement, the EmitReport and the error of an edited replay of
+    131 cases (see _emit_golden_cases), pinned bit for bit.
+    tests/data/emit_golden.json was written with the emit that kept one slot
+    cursor tuple per group, by
+
+        rows = [{"case": name, "sha256": _emit_digest(k, pl, stream, profiles)}
+                for k, (name, pl, stream, profiles)
+                in enumerate(_emit_golden_cases())]
+
+    one row per line, with json.dumps(row, sort_keys=True)."""
+    path = Path(__file__).parent / "data" / "emit_golden.json"
+    rows = json.loads(path.read_text())
+    cases = list(_emit_golden_cases())
+    assert [row["case"] for row in rows] == [name for name, *_rest in cases]
+    for k, ((name, pl, stream, profiles), row) in enumerate(zip(cases, rows)):
+        assert _emit_digest(k, pl, stream, profiles) == row["sha256"], name

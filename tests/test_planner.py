@@ -36,7 +36,7 @@ from streamsched.sketch import sketch_stream
 
 import random
 
-from conftest import exact_fit_stream, make_profile
+from conftest import exact_fit_stream, golden_case, make_profile
 
 
 def make_sketch(stream, eps=1.0, alpha0=1.0):
@@ -455,17 +455,6 @@ class TestCertifyOrRefine:
         assert trace == proven_trace
 
 
-def _golden_case(seed):
-    rng = random.Random(seed)
-    m = rng.randint(1, 3)
-    n = rng.randint(1, 14 if m < 3 else 9)
-    max_p = rng.choice((5, 20, 100, 1000))
-    eps, alpha0 = rng.choice((0.3, 0.5, 1.0)), rng.choice((0.3, 0.5, 1.0))
-    inst = random_instance(rng, n, m, max_p, alpha0)
-    sk = sketch_stream([j.p for j in inst.jobs], eps, alpha0)
-    return sk, inst.machines, eps, alpha0
-
-
 def test_plans_match_golden_file():
     """sigma_S', counts and max_states of 100 seeded plans at the proven
     delta, pinned bit for bit. sigma_S' rather than V, so that a change to
@@ -475,7 +464,7 @@ def test_plans_match_golden_file():
 
         rows = []
         for seed in range(100):
-            pl = plan(*_golden_case(seed))
+            pl = plan(*golden_case(seed))
             rows.append({"seed": seed, "sigma_S_prime": pl.sigma_S_prime.hex(),
                          "counts": [list(r) for r in pl.counts],
                          "max_states": pl.max_states})
@@ -485,7 +474,7 @@ def test_plans_match_golden_file():
     rows = json.loads(path.read_text())
     assert [row["seed"] for row in rows] == list(range(100))
     for row in rows:
-        pl = plan_proven(*_golden_case(row["seed"]))
+        pl = plan_proven(*golden_case(row["seed"]))
         got = (pl.sigma_S_prime.hex(), [list(r) for r in pl.counts], pl.max_states)
         assert got == (row["sigma_S_prime"], row["counts"], row["max_states"]), row
 
