@@ -3,12 +3,14 @@
 Each incoming job is matched to a remaining (machine, group) slot by rounded
 processing time; a job that rounds below every group joins the small pile on
 machine 1, and any other job that finds no slot left, in its group or in none,
-is a stream mismatch. Working space is an m-by-mu table of first-slot work
-coordinates, one slot cursor per group, a map from the buckets seen to their
-groups and the single in-flight job. The schedule itself is held as it is
-emitted, in the typed columns of a Schedule: each job appends its machine,
-start and completion, 24 bytes, and the job ids 1..n, 8 bytes each, are
-filled in when the stream ends.
+is a stream mismatch. Each group's slots come from one generator, which walks
+them machine by machine in the order they are used up and holds only the next
+slot's work coordinate and profile interval. Working space is an m-by-mu
+table of first-slot work coordinates, the mu generators, a map from the
+buckets seen to their groups and the single in-flight job. The schedule
+itself is held as it is emitted, in the typed columns of a Schedule: each
+job appends its machine, start and completion, 24 bytes, and the job ids
+1..n, 8 bytes each, are filled in when the stream ends.
 
 Large jobs start exactly at their slot time. The slots are laid out on the
 profiles pass 2 is given, and a job's true length never exceeds the rounded
@@ -62,7 +64,7 @@ def emit(
         raise ValueError(
             f"plan is for {len(plan.counts)} machines, got {len(profiles)} profiles"
         )
-    tau, groups, m = budget.tau(plan.eps, plan.alpha0), plan.groups, len(profiles)
+    tau, groups = budget.tau(plan.eps, plan.alpha0), plan.groups
     first = profiles[0]
     rps = [rp for rp, _nk in groups]
     # a group that no bucket maps to would keep its slots empty while its
@@ -78,27 +80,32 @@ def emit(
     slot_work = slot_works(plan.counts, rps, profiles, plan.small_reservation)
     head = slot_work[0][0]
     # each machine's interval tables; works gets an infinite sentinel so the
-    # cursor walk needs no bound check
+    # interval walk needs no bound check
     tables = [
-        (prof._starts, prof._ends, prof._works + (math.inf,), prof._alphas, prof)
+        (prof, prof._starts, prof._ends, prof._works + (math.inf,), prof._alphas)
         for prof in profiles
     ]
 
-    def load(g: int, i: int):
-        """Group g's cursor on the first machine from i with a slot of it:
-        (work coordinate of its next slot, the interval holding it, slots
-        left there, slot length, machine, its tables), or None when no
-        machine has one. Slots are used up in machine order, so a group's
-        cursor only moves forward."""
-        while i < m and not plan.counts[i][g]:
-            i += 1
-        if i == m:
-            return None
-        w = slot_work[i][g]
-        j = bisect_right(tables[i][2], w) - 1
-        return (w, j, plan.counts[i][g], rps[g], i, tables[i])
+    def group_slots(g: int):
+        """Group g's slots in the order they are used up, machine by machine:
+        (profile, start, end of the interval holding the start, its alpha).
+        A slot's work coordinate w only grows on its machine, so the
+        interval index is walked forward from one bisection per machine."""
+        rp = rps[g]
+        # the garbage collector tracks a zip or enumerate iterator but not a
+        # range one; mu suspended zips made emit trigger extra collections
+        for i in range(len(tables)):
+            profile, starts, ends, works, alphas = tables[i]
+            w = slot_work[i][g]
+            j = bisect_right(works, w) - 1
+            for _ in range(plan.counts[i][g]):
+                while works[j + 1] <= w:
+                    j += 1
+                alpha = alphas[j]
+                yield profile, starts[j] + (w - works[j]) / alpha, ends[j], alpha
+                w += rp
 
-    cursor = [load(g, 0) for g in range(len(groups))]
+    slots = [group_slots(g) for g in range(len(groups))]
     small_cursor, small_sum, small_placed = 0.0, 0, 0  # an int sum is exact
     # the schedule's columns but job_ids, which is 1..n; see Schedule
     out_machines, out_starts, out_completions = array("q"), array("d"), array("d")
@@ -114,8 +121,8 @@ def emit(
         # converts it as float(p) would
         x = float(p) if p < FLOAT_EXACT else p
         g = group_of[bisect_right(table, x)] if x < top else None
-        cur = None if g is None else cursor[g]
-        if cur is None:
+        slot = None if g is None else next(slots[g], None)
+        if slot is None:
             # every p from RP_LIMIT up lands here, past all groups, before
             # any arithmetic would convert it to a float
             if p >= RP_LIMIT:
@@ -138,27 +145,18 @@ def emit(
             completion = small_cursor = work_to_time(first, start, x)
             small_placed += 1
         else:
-            w, j, left, rp, i, tab = cur
-            starts, ends, works, alphas, profile = tab
-            while works[j + 1] <= w:
-                j += 1
-            alpha = alphas[j]
-            start = starts[j] + (w - works[j]) / alpha
+            profile, start, end, alpha = slot
             # the completion is walked from the start, not read off
             # G^-1(w + p): deep in a timeline the difference of two
             # G^-1 values loses the digits the evaluator needs to see
-            # exactly p units of work. A job that ends in interval j is
-            # work_to_time's first case, inlined; the rest call it. A
-            # start rounded onto interval j's end fails the test by
+            # exactly p units of work. A job that ends in the start's
+            # interval is work_to_time's first case, inlined; the rest call
+            # it. A start rounded onto the interval's end fails the test by
             # itself, as x > 0.
-            if x - alpha * (ends[j] - start) <= 0:
+            if x - alpha * (end - start) <= 0:
                 completion = start + x / alpha
             else:
                 completion = work_to_time(profile, start, x)
-            if left > 1:
-                cursor[g] = (w + rp, j, left - 1, rp, i, tab)
-            else:  # machine i has used up its slots of group g
-                cursor[g] = load(g, i + 1)
         put_machine(profile.machine_index)
         put_start(start)
         put_completion(completion)

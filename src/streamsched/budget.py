@@ -101,11 +101,12 @@ then holds about 15 ln(p_max)/(eps alpha0) > 2*10^9 ln(p_max) entries.
 
 The certificate, at any delta. L <= OPT is the planner's lower bound over
 the sketch (planner.lower_bound). If a run of the planner has
-V <= (1+eps) L, then V <= (1+eps) OPT, because OPT <= sigma <= V' needs no
-delta. So the planner may run at a delta far above the proven one and keep
-the result when it certifies; only an uncertified run needs the chain
-above, at the proven delta, where V <= (1+eps) OPT holds without L. This
-is the a-posteriori form of the prune condition of step 3.
+V <= (1+eps) L, the test of `certifies`, then V <= (1+eps) OPT, because
+OPT <= sigma <= V' needs no delta. So the planner may run at a delta far
+above the proven one and keep the result when it certifies; only an
+uncertified run needs the chain above, at the proven delta, where
+V <= (1+eps) OPT holds without L. This is the a-posteriori form of the
+prune condition of step 3.
 
 Floats. V' and L are float sums of O(m mu + pieces) terms, and each term
 carries a few roundings of relative size 2^-53, grown by at most 1/alpha0
@@ -145,6 +146,12 @@ def threshold(eps: float, alpha0: float, n: int, p_max: int) -> float:
 def delta(eps: float, alpha0: float, mu: int) -> float:
     """The ladder and prune ratio's excess eps*alpha0/(24 mu), mu >= 1 groups."""
     return eps * alpha0 / (24.0 * mu)
+
+
+def certifies(value: float, eps: float, lower_bound: float) -> bool:
+    """V <= (1+eps) L for a run's V and the sketch's lower bound L, so that
+    V <= (1+eps) OPT at any delta (see "The certificate")."""
+    return value <= (1.0 + eps) * lower_bound
 
 
 def small_work(eps: float, alpha0: float, n: int, p_max: int, n_small: int) -> float:

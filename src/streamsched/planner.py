@@ -419,7 +419,7 @@ def plan(
         peak = max(peak, pl.max_states)
         if bound is None:
             bound = lower_bound(sketch, profiles)
-        if pl.V <= (1.0 + eps) * bound:
+        if budget.certifies(pl.V, eps, bound):
             break
     pl.max_states, pl.lower_bound = peak, bound
     if trace is not None:

@@ -175,7 +175,8 @@ class Sketch:
         1 or at or past RP_LIMIT, an entry's rp or count below 1, or counts
         that sum past n raise ValueError naming it. So does an entry whose
         rp is no rounded size at the sketch's tau, or at or past RP_LIMIT
-        (see bucket_groups)."""
+        (see bucket_groups), and then a p_max that does not round to the
+        largest entry's rp."""
         obj = json.loads(text)
         require_keys(obj, _SKETCH_KEYS, "sketch JSON")
         require_numbers(obj, _SKETCH_KEYS[:-1], "sketch JSON")
@@ -195,10 +196,18 @@ class Sketch:
         if total > n:
             raise ValueError(f"sketch JSON: entries hold {total} jobs, more than n={n}")
         bucket_groups([rp for rp, _count in entries], tau, "sketch JSON entry")
+        p_max = int(obj["p_max"])
+        # the largest job is always in the sketch (budget.py, step 4)
+        top = max(entries, default=None)
+        if top is not None and rounded_value(bucket_index(p_max, tau), tau) != top[0]:
+            raise ValueError(
+                f"sketch JSON: p_max={p_max} does not round to the largest "
+                f"entry's rp={top[0]}, as the largest job does"
+            )
         return cls(
             entries=tuple(sorted(entries)),
             n=n,
-            p_max=int(obj["p_max"]),
+            p_max=p_max,
             eps=obj["eps"],
             alpha0=obj["alpha0"],
         )

@@ -1002,6 +1002,20 @@ MALFORMED = {
         {"sketch": json_with(entries=[{"rp": 1, "count": 2}, {"rp": 21, "count": 1}])},
         "sketch JSON entry 1 (rp=21) is no rounded size",
     ),
+    # the largest job, 2, is always in the sketch, and p_max must round to
+    # its rp: edited up, V would follow p_max's theta; edited down, pass 2
+    # would blame the stream
+    "sketch-p-max-edited-up": (
+        "approximate",
+        {"sketch": json_with(p_max=10**15)},
+        "sketch JSON: p_max=1000000000000000 does not round to the largest "
+        "entry's rp=2",
+    ),
+    "sketch-p-max-edited-down": (
+        "approximate",
+        {"sketch": json_with(p_max=1)},
+        "sketch JSON: p_max=1 does not round to the largest entry's rp=2",
+    ),
     "sketch-repeated-rp": (
         "approximate",
         {"sketch": json_with(entries=[{"rp": 2, "count": 2}, {"rp": 2, "count": 1}])},

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 import re
 import tracemalloc
@@ -18,6 +19,7 @@ from streamsched.sketch import (
     SketchBuilder,
     bucket_index,
     iter_job_stream,
+    power_table,
     rounded_value,
     sketch_stream,
 )
@@ -429,7 +431,10 @@ class TestSerialization:
             Sketch.from_json(sk.to_json())
         big = rounded_value(10_987, TAU)
         assert RP_LIMIT // 2 <= big < RP_LIMIT
-        sk = Sketch(((1, 1), (big, 1)), 2, big, 1.0, 1.0)
+        # p_max is a size in bucket 10,987: big itself is an exact float at
+        # this size, so a job of big would round to the next rp
+        p_max = math.ceil(power_table(TAU, 10_987)[10_986])
+        sk = Sketch(((1, 1), (big, 1)), 2, p_max, 1.0, 1.0)
         assert Sketch.from_json(sk.to_json()) == sk
 
 
