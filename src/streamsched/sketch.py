@@ -11,7 +11,6 @@ import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import chain, islice
 
 from . import budget
@@ -35,12 +34,12 @@ class KnowledgeMode:
 
     n_upper: claimed upper bound n' with n <= n'.
     pmax_lower: claimed lower bound p' with 1 <= p' <= p_max.
-    n_upper sets the running threshold and pmax_lower seeds it. Alone,
-    pmax_lower skips nothing: there is no running threshold without n_upper.
-    The closer the bounds, the smaller the live sketch. SketchBuilder.finalize
-    rejects a stream that breaks either claim. n_upper from N_UPPER_LIMIT and
-    pmax_lower from RP_LIMIT raise ValueError, since the running threshold
-    would leave the float range.
+    n_upper sets the running threshold; the closer it is to n, the smaller
+    the live sketch. pmax_lower skips nothing and seeds nothing: it is only
+    a promise. SketchBuilder.finalize rejects a stream that breaks either
+    claim. n_upper from N_UPPER_LIMIT raises ValueError, since the running
+    threshold would leave the float range, and so does pmax_lower from
+    RP_LIMIT, which no job reaches.
     """
 
     n_upper: int | None = None
@@ -225,15 +224,14 @@ class SketchBuilder:
     """Single-writer streaming accumulator; call observe() or observe_all(),
     then finalize().
 
-    The counts live in one list indexed by bucket number, in every knowledge
-    mode; the modes only seed and raise the running threshold, which skips
-    jobs and bounds live_size(), the count of nonzero buckets. The list and
-    the shared power table still hold one entry per bucket up to p_max's,
-    so memory is O(log p_max / tau) in every mode. When the threshold
-    rises, the buckets whose rounded size fell below it are zeroed at once,
-    walking a low-water bucket index forward, which also skips every job
-    below it. Over a whole stream that walk costs at most the buckets below
-    theta.
+    The counts live in a dict from bucket number to a nonzero count, so
+    live_size() is its length. With n_upper, the running threshold skips
+    jobs and evicts buckets: every bucket below a low-water index rounds
+    below it. The threshold is proportional to the largest job, so the
+    live buckets span log_{1+tau}(3 n_upper^2 / (eps alpha0)) + O(1)
+    indices whatever p_max is, and the counts take O(live) memory. The
+    shared power table still holds one entry per bucket up to p_max's:
+    O(log p_max / tau) in every mode.
     """
 
     eps: float
@@ -250,31 +248,34 @@ class SketchBuilder:
         self.n_cur = 0
         self.p_curMax = 0
         self.p_minL = 0.0  # the running threshold; 0 while there is none
-        self._counts: list[int] = [0, 0]  # indexed by bucket k, grows
-        self._occupied = 0  # buckets with a nonzero count
+        self._counts: dict[int, int] = {}  # bucket k -> its nonzero count
         self._low = 1  # every bucket below this rounds below p_minL
         # instrumentation for space/update-cost assertions
         self.max_live_size = 0
         self.max_store_ops = 0
-        if self.mode.n_upper is not None and self.mode.pmax_lower is not None:
-            self._raise_threshold(self.mode.pmax_lower)
 
     def live_size(self) -> int:
-        return self._occupied
+        return len(self._counts)
 
     def _raise_threshold(self, p: int) -> None:
         """Raise p_minL to theta at (n_upper, p), which never exceeds the
-        final theta, and walk low, past the counts list if need be, to the
-        first bucket that rounds to p_minL or more, zeroing the buckets it
-        passes."""
-        thr = budget.threshold(self.eps, self.alpha0, self.mode.n_upper, p)
-        if thr > self.p_minL:
-            self.p_minL, counts = thr, self._counts
-            while rounded_value(self._low, self.tau) < thr:
-                if self._low < len(counts) and counts[self._low]:
-                    counts[self._low] = 0
-                    self._occupied -= 1
-                self._low += 1
+        final theta, move low to the first bucket that rounds to p_minL or
+        more, and drop the counts of the buckets it passes. floor(x) >= t
+        exactly when x >= ceil(t), so one bisection of the power table
+        finds that bucket."""
+        self.p_minL = budget.threshold(self.eps, self.alpha0, self.mode.n_upper, p)
+        least = math.ceil(self.p_minL)
+        if least >= self._table[-1]:
+            bucket_index(least, self.tau)  # grows the shared table past it
+        low = bisect_left(self._table, least, self._low)
+        # the first raise may pass 10**6 empty buckets, while a stream that
+        # ascends one job at a time raises at every job: pop the fewer keys
+        counts, stale = self._counts, range(self._low, low)
+        if len(stale) > len(counts):
+            stale = [k for k in counts if k < low]
+        for k in stale:
+            counts.pop(k, None)
+        self._low = low
 
     def observe(self, p: int) -> None:
         self._observe_block([p])
@@ -302,9 +303,9 @@ class SketchBuilder:
                 return
 
     def _observe_block(self, jobs: list) -> None:
-        """Count a nonempty list of jobs in stream order. The list is split
-        only where a new maximum moves low, which happens at most once per
-        bucket below theta over a whole stream."""
+        """Count a nonempty list of jobs, raising the threshold first, once,
+        to its value at the block's largest job. That never exceeds the
+        final theta, so a job it skips is one finalize would drop."""
         hi = max(jobs)
         if min(jobs) < 1 or hi >= RP_LIMIT:
             bad = next(i for i, p in enumerate(jobs) if not 1 <= p < RP_LIMIT)
@@ -313,53 +314,38 @@ class SketchBuilder:
             if jobs[bad] < 1:
                 raise ValueError(f"job {self.n_cur + 1}: processing time must be >= 1")
             require_below_rp_limit(jobs[bad], f"job {self.n_cur + 1}: processing time")
-        start = 0
         if self.mode.n_upper is not None and hi > self.p_curMax:
-            theta = partial(budget.threshold, self.eps, self.alpha0, self.mode.n_upper)
-            # theta is monotone in p, and every job before start has a theta
-            # of at most low's rounded size; so the first job past it is a
-            # new maximum, and the one that moves low
-            while theta(hi) > (stop := rounded_value(self._low, self.tau)):
-                end = next(i for i in range(start, len(jobs)) if theta(jobs[i]) > stop)
-                self._count(jobs[start:end])
-                self._raise_threshold(jobs[end])
-                start = end
-            self._raise_threshold(hi)  # low stays: this only sets p_minL
-        self._count(jobs[start:])
+            self._raise_threshold(hi)
+        self._count(jobs)
         self.n_cur += len(jobs)
         self.p_curMax = max(self.p_curMax, hi)
 
     def _count(self, jobs: list) -> None:
-        """Add jobs that all see the same low to their buckets' counts,
-        skipping those whose bucket lies below low. The jobs are sorted, so
-        each nonempty bucket takes two bisections: one finds its index in
-        the power table, one finds the first job past it."""
+        """Add jobs to their buckets' counts, skipping those whose bucket
+        lies below low. The jobs are sorted, so each nonempty bucket takes
+        two bisections: one finds its index in the power table, one finds
+        the first job past it."""
         jobs, table = sorted(jobs), self._table
         i = bisect_left(jobs, table[self._low - 1])
         if i == len(jobs):
             return
         if jobs[-1] >= table[-1]:
             bucket_index(jobs[-1], self.tau)  # grows the shared table past it
-        counts, occupied, k = self._counts, self._occupied, self._low
-        top = bisect_right(table, jobs[-1], k)
-        if top >= len(counts):
-            counts.extend([0] * (top + 1 - len(counts)))
+        counts, k = self._counts, self._low
         while i < len(jobs):
             k = bisect_right(table, jobs[i], k)
             j = bisect_left(jobs, table[k], i)
-            c = counts[k]
-            counts[k] = c + j - i
-            if not c:
-                occupied += 1
+            counts[k] = counts.get(k, 0) + j - i
             i = j
         # one store op per kept job: it rounds to p_minL or more, so its
         # bucket lies at or past low
-        self._occupied, self.max_store_ops = occupied, 1
-        self.max_live_size = max(self.max_live_size, occupied)
+        self.max_store_ops = 1
+        self.max_live_size = max(self.max_live_size, len(counts))
 
     def finalize(self) -> Sketch:
         """Raises ValueError when the stream broke a knowledge-mode promise:
-        the threshold then rose too fast and may have skipped large jobs."""
+        past n_upper, the threshold rose too fast and may have skipped large
+        jobs."""
         if self.n_cur == 0:
             raise EmptyStreamError("no jobs observed")
         n = self.n_cur
@@ -377,10 +363,9 @@ class SketchBuilder:
         p_minL_final = budget.threshold(self.eps, self.alpha0, n, p_max)
         # buckets with equal rounded value are merged into one entry
         merged: dict[int, int] = {}
-        for k, count in enumerate(self._counts):
-            if count:
-                rp = rounded_value(k, self.tau)
-                merged[rp] = merged.get(rp, 0) + count
+        for k, count in self._counts.items():
+            rp = rounded_value(k, self.tau)
+            merged[rp] = merged.get(rp, 0) + count
         return Sketch(
             entries=tuple(
                 sorted((rp, c) for rp, c in merged.items() if rp > p_minL_final)
