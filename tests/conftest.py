@@ -1,11 +1,13 @@
 import math
 import random
+from bisect import bisect_right
 
 import pytest
 
 from streamsched import budget
 from streamsched.model import (
-    CapacityInterval, MachineProfile, flat_profile, random_instance,
+    CapacityInterval, MachineProfile, PlacedJob, Schedule, flat_profile,
+    random_instance, work_to_time,
 )
 from streamsched.sketch import bucket_index, rounded_value, sketch_stream
 
@@ -70,6 +72,56 @@ def golden_case(seed):
     """(sketch, profiles, eps, alpha0) of golden_instance(seed)."""
     stream, profiles, eps, alpha0 = golden_instance(seed)
     return sketch_stream(stream, eps, alpha0), profiles, eps, alpha0
+
+
+def mutants(rng, inst, placements):
+    """Schedules one edit away from an emitted one: shifted starts, moved,
+    shortened or stretched jobs, wrong machines, duplicated, dropped or
+    swapped jobs, and jobs moved onto or across interval boundaries."""
+    profiles = {p.machine_index: p for p in inst.machines}
+    sizes = {j.id: j.p for j in inst.jobs}
+    out = []
+    for _ in range(4):
+        pls = list(placements)
+        k = rng.randrange(len(pls))
+        job_id, mi, start, completion = pls[k]
+        prof = profiles[mi]
+        p = float(sizes[job_id])
+        kind = rng.randrange(10)
+        if kind == 0:  # start shifted, completion kept
+            shift = rng.choice([-1, 1]) * rng.choice([1e-12, 1e-6, 0.3, 2.0])
+            pls[k] = PlacedJob(job_id, mi, start + shift, completion)
+        elif kind == 1:  # the whole job moved, its completion recomputed
+            new_start = max(0.0, start + rng.uniform(-3.0, 3.0))
+            pls[k] = PlacedJob(job_id, mi, new_start, work_to_time(prof, new_start, p))
+        elif kind == 2:  # completion shortened or stretched
+            scale = rng.choice([1e-13, 1e-8, 0.1]) * rng.choice([-1, 1])
+            pls[k] = PlacedJob(
+                job_id, mi, start, completion + scale * (completion - start)
+            )
+        elif kind == 3:  # another machine, present or not
+            other = rng.choice([*profiles, max(profiles) + 1])
+            pls[k] = PlacedJob(job_id, other, start, completion)
+        elif kind == 4:
+            pls.insert(rng.randrange(len(pls) + 1), pls[k])
+        elif kind == 5:
+            del pls[k]
+        elif kind == 6 and len(pls) > 1:  # two jobs swap ids
+            k2 = rng.randrange(len(pls))
+            a, b = pls[k], pls[k2]
+            pls[k], pls[k2] = a._replace(job_id=b.job_id), b._replace(job_id=a.job_id)
+        elif kind in (7, 8):  # the job starts on a boundary or just before one
+            i = rng.randrange(len(prof.intervals))
+            new_start = prof.intervals[i].start
+            if kind == 8 and i > 0:
+                before = new_start - prof.intervals[i - 1].start
+                new_start -= rng.uniform(0.0, 0.5) * before
+            pls[k] = PlacedJob(job_id, mi, new_start, work_to_time(prof, new_start, p))
+        else:  # ends exactly where its start's interval ends
+            i = bisect_right(prof._starts, start) - 1
+            pls[k] = PlacedJob(job_id, mi, start, prof.intervals[i].end)
+        out.append(Schedule(tuple(pls)))
+    return out
 
 
 @pytest.fixture

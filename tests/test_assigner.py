@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 from conftest import (
-    boundary_streams, exact_fit_stream, golden_instance, make_profile,
+    boundary_streams, exact_fit_stream, golden_instance, make_profile, mutants,
 )
 
 from streamsched import budget
@@ -19,6 +19,9 @@ from streamsched.model import (
     Instance,
     Job,
     MachineProfile,
+    PlacedJob,
+    Schedule,
+    ScheduleError,
     evaluate_schedule,
     flat_profile,
     random_profile,
@@ -469,7 +472,12 @@ def _emit_digest(case_index, pl, stream, profiles):
     return digest.hexdigest()
 
 
-def test_emits_match_golden_file():
+@pytest.fixture(scope="module")
+def emit_golden_cases():
+    return list(_emit_golden_cases())
+
+
+def test_emits_match_golden_file(emit_golden_cases):
     """Every placement, the EmitReport and the error of an edited replay of
     131 cases (see _emit_golden_cases), pinned bit for bit.
     tests/data/emit_golden.json was written with the emit that kept one slot
@@ -482,7 +490,67 @@ def test_emits_match_golden_file():
     one row per line, with json.dumps(row, sort_keys=True)."""
     path = Path(__file__).parent / "data" / "emit_golden.json"
     rows = json.loads(path.read_text())
-    cases = list(_emit_golden_cases())
+    cases = emit_golden_cases
     assert [row["case"] for row in rows] == [name for name, *_rest in cases]
     for k, ((name, pl, stream, profiles), row) in enumerate(zip(cases, rows)):
         assert _emit_digest(k, pl, stream, profiles) == row["sha256"], name
+
+
+def _eval_golden_cases(emit_cases):
+    """(name, instance, schedule) of the evaluator golden file: each emit
+    golden schedule in arrival order, 4 seeded mutants of it (see
+    conftest.mutants) and its rows reversed; then one hand-built schedule
+    per rejection."""
+    for k, (name, pl, stream, profiles) in enumerate(emit_cases):
+        jobs = tuple(Job(i, p) for i, p in enumerate(stream, 1))
+        alpha0 = min(prof.min_alpha for prof in profiles)
+        inst = Instance(profiles, jobs, alpha0)
+        schedule, _report = emit(pl, stream, profiles)
+        yield name, inst, schedule
+        edited = mutants(random.Random(k), inst, schedule.placements)
+        for e, mutant in enumerate(edited):
+            yield f"{name} mutant {e}", inst, mutant
+        yield f"{name} reversed", inst, Schedule(reversed(schedule.placements))
+    inst = Instance(
+        (make_profile([(2, 0.5), (None, 1.0)]), flat_profile(1.0, 2)),
+        (Job(1, 3), Job(2, 2)), 0.5,
+    )
+    rows = {
+        "unknown job": [(1, 1, 0.0, 4.0), (2, 2, 0.0, 2.0), (3, 2, 2.0, 4.0)],
+        "repeated row": [(1, 1, 0.0, 4.0), (2, 2, 0.0, 2.0), (2, 2, 0.0, 2.0)],
+        "unknown machine": [(1, 1, 0.0, 4.0), (2, 3, 0.0, 2.0)],
+        "completion at start": [(1, 1, 0.0, 4.0), (2, 2, 1.5, 1.5)],
+        "nan start": [(1, 1, 0.0, 4.0), (2, 2, math.nan, 2.0)],
+        "infinite completion": [(1, 1, 0.0, math.inf), (2, 2, 0.0, 2.0)],
+        "negative start": [(1, 1, 0.0, 4.0), (2, 2, -1e-10, 2.0 - 1e-10)],
+        "job never placed": [(2, 2, 0.0, 2.0)],
+    }
+    for name, placed in rows.items():
+        yield name, inst, Schedule(PlacedJob(*row) for row in placed)
+
+
+def _eval_outcome(inst, schedule):
+    """sigma as float.hex, or the error's class and text."""
+    try:
+        return evaluate_schedule(inst, schedule).hex()
+    except ScheduleError as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def test_evaluations_match_golden_file(emit_golden_cases):
+    """sigma to the bit, or the error's class and text, of 794 schedules
+    (see _eval_golden_cases). tests/data/eval_golden.json was written with
+    the evaluator that sorted one (start, completion, job id, size) tuple
+    per row, by
+
+        rows = [{"case": name, "outcome": _eval_outcome(inst, schedule)}
+                for name, inst, schedule
+                in _eval_golden_cases(_emit_golden_cases())]
+
+    one row per line, with json.dumps(row, sort_keys=True)."""
+    path = Path(__file__).parent / "data" / "eval_golden.json"
+    rows = json.loads(path.read_text())
+    cases = list(_eval_golden_cases(emit_golden_cases))
+    assert [row["case"] for row in rows] == [name for name, *_rest in cases]
+    for (name, inst, schedule), row in zip(cases, rows):
+        assert _eval_outcome(inst, schedule) == row["outcome"], name

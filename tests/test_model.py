@@ -1,7 +1,6 @@
 import math
 import random
 import tracemalloc
-from bisect import bisect_right
 from operator import itemgetter
 
 import pytest
@@ -32,7 +31,7 @@ from streamsched.model import (
 from streamsched.planner import plan
 from streamsched.sketch import sketch_stream
 
-from conftest import make_profile
+from conftest import make_profile, mutants
 
 
 class TestWorkToTime:
@@ -203,56 +202,6 @@ def _close(a, b):
     return abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
 
 
-def _mutants(rng, inst, placements):
-    """Schedules one edit away from an emitted one: shifted starts, moved,
-    shortened or stretched jobs, wrong machines, duplicated, dropped or
-    swapped jobs, and jobs moved onto or across interval boundaries."""
-    profiles = {p.machine_index: p for p in inst.machines}
-    sizes = {j.id: j.p for j in inst.jobs}
-    out = []
-    for _ in range(4):
-        pls = list(placements)
-        k = rng.randrange(len(pls))
-        job_id, mi, start, completion = pls[k]
-        prof = profiles[mi]
-        p = float(sizes[job_id])
-        kind = rng.randrange(10)
-        if kind == 0:  # start shifted, completion kept
-            shift = rng.choice([-1, 1]) * rng.choice([1e-12, 1e-6, 0.3, 2.0])
-            pls[k] = PlacedJob(job_id, mi, start + shift, completion)
-        elif kind == 1:  # the whole job moved, its completion recomputed
-            new_start = max(0.0, start + rng.uniform(-3.0, 3.0))
-            pls[k] = PlacedJob(job_id, mi, new_start, work_to_time(prof, new_start, p))
-        elif kind == 2:  # completion shortened or stretched
-            scale = rng.choice([1e-13, 1e-8, 0.1]) * rng.choice([-1, 1])
-            pls[k] = PlacedJob(
-                job_id, mi, start, completion + scale * (completion - start)
-            )
-        elif kind == 3:  # another machine, present or not
-            other = rng.choice([*profiles, max(profiles) + 1])
-            pls[k] = PlacedJob(job_id, other, start, completion)
-        elif kind == 4:
-            pls.insert(rng.randrange(len(pls) + 1), pls[k])
-        elif kind == 5:
-            del pls[k]
-        elif kind == 6 and len(pls) > 1:  # two jobs swap ids
-            k2 = rng.randrange(len(pls))
-            a, b = pls[k], pls[k2]
-            pls[k], pls[k2] = a._replace(job_id=b.job_id), b._replace(job_id=a.job_id)
-        elif kind in (7, 8):  # the job starts on a boundary or just before one
-            i = rng.randrange(len(prof.intervals))
-            new_start = prof.intervals[i].start
-            if kind == 8 and i > 0:
-                before = new_start - prof.intervals[i - 1].start
-                new_start -= rng.uniform(0.0, 0.5) * before
-            pls[k] = PlacedJob(job_id, mi, new_start, work_to_time(prof, new_start, p))
-        else:  # ends exactly where its start's interval ends
-            i = bisect_right(prof._starts, start) - 1
-            pls[k] = PlacedJob(job_id, mi, start, prof.intervals[i].end)
-        out.append(Schedule(tuple(pls)))
-    return out
-
-
 def _outcome(evaluate, inst, sched):
     try:
         return evaluate(inst, sched)
@@ -273,7 +222,7 @@ def test_evaluator_matches_reference_on_emitted_and_mutated_schedules():
         inst = Instance(profiles, jobs, 0.5)
         pl = plan(sketch_stream(stream, 1.0, 0.5), profiles, 1.0, 0.5)
         sched, _ = emit(pl, stream, profiles)
-        for s in [sched, *_mutants(rng, inst, sched.placements)]:
+        for s in [sched, *mutants(rng, inst, sched.placements)]:
             new = _outcome(evaluate_schedule, inst, s)
             if any(
                 completion > start and not 0.0 <= start < completion < math.inf
