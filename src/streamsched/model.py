@@ -6,6 +6,7 @@ capacity and the SPT helper used by the brute-force oracle.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import random
@@ -14,7 +15,6 @@ from bisect import bisect_right
 from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
-from operator import itemgetter
 
 REL_TOL = 1e-9
 
@@ -169,6 +169,8 @@ def require_distinct_machines(profiles) -> None:
 
 @dataclass(frozen=True)
 class Instance:
+    """_sizes maps each job id to float(p); ==, hash and repr ignore it."""
+
     machines: tuple[MachineProfile, ...]
     jobs: tuple[Job, ...]
     alpha0: float
@@ -178,9 +180,12 @@ class Instance:
             raise ValueError(f"alpha0 must be in (0, 1], got {self.alpha0}")
         require_alpha0(self.machines, self.alpha0)
         require_distinct_machines(self.machines)
-        ids = [j.id for j in self.jobs]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate job ids")
+        sizes = {job.id: float(job.p) for job in self.jobs}
+        if len(sizes) < len(self.jobs):
+            # popping each id in turn, the first repeat finds its id gone
+            repeat = next(j.id for j in self.jobs if sizes.pop(j.id, None) is None)
+            raise ValueError(f"job id {repeat} appears twice")
+        object.__setattr__(self, "_sizes", sizes)
 
 
 def random_instance(
@@ -355,31 +360,32 @@ def evaluate_schedule(instance: Instance, schedule: Schedule) -> float:
     """Total completion time of a schedule; raises on any feasibility violation.
 
     Every placement must satisfy 0 <= start < completion < inf. Each
-    machine's jobs are then walked in start order with a cursor on its
-    profile intervals that only moves forward: a job that ends in the
-    interval holding its start delivers that interval's capacity times its
-    length, which is what work_between computes for it, and only a job
-    that crosses a boundary calls work_between.
+    machine's rows are then walked by number over the schedule's columns,
+    in start order, with a cursor on its profile intervals that only moves
+    forward: a job that ends in the interval holding its start delivers
+    that interval's capacity times its length, which is what work_between
+    computes for it, and only a job that crosses a boundary calls it.
     """
-    # each job's size as the float the work check compares with
-    unplaced = {j.id: float(j.p) for j in instance.jobs}
+    unplaced = instance._sizes.copy()
     profiles = {p.machine_index: p for p in instance.machines}
+    starts, completions = schedule.starts, schedule.completions
     # machines in the order of their first placement, the order of the sum
-    per_machine: dict[int, list[tuple[float, float, int, float]]] = {}
+    per_machine: dict[int, list[int]] = {}
+    sizes = []  # sizes[row]: the size of the job placed in that row
     inf = math.inf
-    for job_id, mi, start, completion in zip(
-        schedule.job_ids, schedule.machines, schedule.starts, schedule.completions
+    for row, job_id, mi, start, completion in zip(
+        itertools.count(), schedule.job_ids, schedule.machines, starts, completions
     ):
         p = unplaced.pop(job_id, None)
         if p is None:
-            if any(j.id == job_id for j in instance.jobs):
+            if job_id in instance._sizes:
                 raise MissingJobError(f"job {job_id} placed more than once")
             raise MissingJobError(f"placement for unknown job {job_id}")
-        placed = per_machine.get(mi)
-        if placed is None:
+        rows = per_machine.get(mi)
+        if rows is None:
             if mi not in profiles:
                 raise ScheduleError(f"unknown machine {mi}")
-            placed = per_machine[mi] = []
+            rows = per_machine[mi] = []
         if not 0.0 <= start < completion < inf:
             if completion <= start:
                 raise WorkMismatchError(
@@ -389,21 +395,25 @@ def evaluate_schedule(instance: Instance, schedule: Schedule) -> float:
                 f"job {job_id}: start {start} and completion {completion} "
                 "must satisfy 0 <= start < completion < inf"
             )
-        placed.append((start, completion, job_id, p))
+        rows.append(row)
+        sizes.append(p)
     if unplaced:
-        raise MissingJobError(f"jobs never placed: {sorted(unplaced)}")
+        ids = sorted(unplaced)
+        more = f" and {len(ids) - 10} more, {len(ids)} in all" if len(ids) > 10 else ""
+        raise MissingJobError(f"jobs never placed: {ids[:10]}{more}")
 
     total = 0.0
-    for mi, placed in per_machine.items():
+    for mi, rows in per_machine.items():
         profile = profiles[mi]
         ends, alphas = profile._ends, profile._alphas
-        placed.sort(key=itemgetter(0))  # stable: equal starts keep their order
+        rows.sort(key=starts.__getitem__)  # stable: equal starts keep their order
         prev_end = 0.0
         i, end = 0, ends[0]  # the interval holding the start, and its end
-        for start, completion, job_id, p in placed:
+        for row in rows:
+            start, completion, p = starts[row], completions[row], sizes[row]
             if start < prev_end and not _close(start, prev_end):
                 raise OverlapError(
-                    f"machine {mi}: job {job_id} starts at {start} "
+                    f"machine {mi}: job {schedule.job_ids[row]} starts at {start} "
                     f"before previous completion {prev_end}"
                 )
             while end <= start:
@@ -416,8 +426,8 @@ def evaluate_schedule(instance: Instance, schedule: Schedule) -> float:
             # not _close(delivered, p), for delivered >= 0 and p >= 1
             if abs(delivered - p) > REL_TOL * (p if p > delivered else delivered):
                 raise WorkMismatchError(
-                    f"job {job_id} on machine {mi}: delivered {delivered}, "
-                    f"needs {p:.17g}"
+                    f"job {schedule.job_ids[row]} on machine {mi}: "
+                    f"delivered {delivered}, needs {p:.17g}"
                 )
             prev_end = completion
             total += completion
