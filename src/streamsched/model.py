@@ -169,7 +169,8 @@ def require_distinct_machines(profiles) -> None:
 
 @dataclass(frozen=True)
 class Instance:
-    """_sizes maps each job id to float(p); ==, hash and repr ignore it."""
+    """Job ids are distinct. _sizes maps each id to float(p), for
+    evaluate_schedule to copy; it is no field, so ==, hash and repr skip it."""
 
     machines: tuple[MachineProfile, ...]
     jobs: tuple[Job, ...]
@@ -359,7 +360,8 @@ def run_batch(
 def evaluate_schedule(instance: Instance, schedule: Schedule) -> float:
     """Total completion time of a schedule; raises on any feasibility violation.
 
-    Every placement must satisfy 0 <= start < completion < inf. Each
+    Every placement must satisfy 0 <= start < completion < inf, and a copy
+    of the instance's size map holds the jobs not yet placed. Each
     machine's rows are then walked by number over the schedule's columns,
     in start order, with a cursor on its profile intervals that only moves
     forward: a job that ends in the interval holding its start delivers
@@ -402,7 +404,7 @@ def evaluate_schedule(instance: Instance, schedule: Schedule) -> float:
         more = f" and {len(ids) - 10} more, {len(ids)} in all" if len(ids) > 10 else ""
         raise MissingJobError(f"jobs never placed: {ids[:10]}{more}")
 
-    total = 0.0
+    total = 0.0  # by +=: from Python 3.12 on, sum() compensates
     for mi, rows in per_machine.items():
         profile = profiles[mi]
         ends, alphas = profile._ends, profile._alphas

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import itertools
 import json
@@ -375,9 +376,10 @@ class TestExactFitReservation:
                     assert sigma <= (1 + eps) * opt, (stream, eps, alpha0, profiles)
 
 
-def test_emit_holds_at_most_40_bytes_per_job():
-    # the schedule's four columns take 32 bytes per job; the peak counts
-    # them, their growth and everything else emit allocates
+@pytest.fixture(scope="module")
+def emitted_at_scale():
+    """(stream, profiles, schedule, emit's tracemalloc peak) of 2*10**5 jobs
+    up to 10**6 on one machine, planned at eps = 1, alpha0 = 0.5."""
     rng = random.Random(3)
     n = 2 * 10**5
     profiles = (random_profile(rng, 0.5),)
@@ -389,8 +391,44 @@ def test_emit_holds_at_most_40_bytes_per_job():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return stream, profiles, schedule, peak
+
+
+def test_emit_holds_at_most_40_bytes_per_job(emitted_at_scale):
+    # the schedule's four columns take 32 bytes per job; the peak counts
+    # them, their growth and everything else emit allocates
+    stream, _profiles, schedule, peak = emitted_at_scale
+    n = len(stream)
     assert len(schedule.placements) == n
     assert peak <= 40 * n, f"{peak / n:.1f} bytes per job"
+
+
+def test_evaluate_holds_at_most_160_bytes_per_job_and_collects_nothing(
+    emitted_at_scale,
+):
+    # the copied size map, a row number and a size per job; a tuple per
+    # row (252 bytes per job) would also set off hundreds of collections
+    stream, profiles, schedule, _peak = emitted_at_scale
+    n = len(stream)
+    inst = Instance(profiles, tuple(Job(i, p) for i, p in enumerate(stream, 1)), 0.5)
+    collections = []
+
+    def count_collections(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    gc.collect()  # the call starts with the youngest generation empty
+    gc.callbacks.append(count_collections)
+    tracemalloc.start()
+    try:
+        sigma = evaluate_schedule(inst, schedule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        gc.callbacks.remove(count_collections)
+    assert sigma > 0
+    assert peak <= 160 * n, f"{peak / n:.1f} bytes per job"
+    assert collections == []
 
 
 def _emit_golden_cases():

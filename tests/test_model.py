@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -81,6 +82,32 @@ class TestInstance:
         with pytest.raises(ValueError, match="machine index 1 appears twice"):
             Instance(profiles, (Job(1, 4), Job(2, 4)), 0.5)
 
+    def test_repeated_job_id_rejected(self):
+        # 7 is the first id seen a second time, though 3 comes first
+        jobs = (Job(3, 1), Job(7, 2), Job(7, 4), Job(3, 1))
+        with pytest.raises(ValueError, match="^job id 7 appears twice$"):
+            Instance((flat_profile(1.0),), jobs, 1.0)
+
+    def test_equality_hash_and_repr_ignore_the_size_map(self):
+        jobs = (Job(1, 2), Job(2, 3))
+        a = Instance((flat_profile(1.0),), jobs, 1.0)
+        b = Instance((flat_profile(1.0),), jobs, 1.0)
+        object.__setattr__(b, "_sizes", {})
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert "_sizes" not in repr(a) and "3.0" not in repr(a)
+        assert [f.name for f in dataclasses.fields(a)] == ["machines", "jobs", "alpha0"]
+
+    def test_evaluate_leaves_the_size_map_whole(self):
+        # a rejected schedule pops sizes from evaluate's copy, not the map
+        inst = Instance((flat_profile(0.5),), (Job(1, 3), Job(2, 1)), 0.5)
+        schedule = Schedule(((1, 1, 0.0, 6.0), (2, 1, 6.0, 8.0)))
+        repeated = Schedule(((1, 1, 0.0, 6.0), (1, 1, 0.0, 6.0), (2, 1, 6.0, 8.0)))
+        sigma = evaluate_schedule(inst, schedule)
+        with pytest.raises(MissingJobError, match="job 1 placed more than once"):
+            evaluate_schedule(inst, repeated)
+        assert evaluate_schedule(inst, schedule).hex() == sigma.hex() == (14.0).hex()
+        assert inst._sizes == {1: 3.0, 2: 1.0}
+
 
 class TestWorkCoordinates:
     def test_work_at_and_time_at_invert(self):
@@ -122,6 +149,19 @@ class TestEvaluateSchedule:
         sched = Schedule((PlacedJob(1, 1, 0.0, 2.0),))
         with pytest.raises(MissingJobError):
             evaluate_schedule(inst, sched)
+
+    def test_many_unplaced_jobs_named_in_one_short_line(self):
+        # a schedule cut off halfway names ten ids and the count, not 5,000
+        n = 10**4
+        jobs = tuple(Job(i, 1) for i in range(1, n + 1))
+        inst = Instance((flat_profile(1.0),), jobs, 1.0)
+        sched = Schedule((i, 1, i - 1.0, float(i)) for i in range(1, n // 2 + 1))
+        with pytest.raises(MissingJobError) as caught:
+            evaluate_schedule(inst, sched)
+        text = str(caught.value)
+        assert len(text) < 200 and "\n" not in text
+        assert text.startswith("jobs never placed: [5001, 5002,")
+        assert "5000 in all" in text
 
     def test_duplicate_placement_rejected(self):
         inst = Instance((flat_profile(1.0),), (Job(1, 2),), 1.0)
