@@ -24,11 +24,12 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import budget
 from .model import (
-    RP_LIMIT, MachineProfile, Schedule, require_below_rp_limit, work_to_time,
+    RP_LIMIT, MachineProfile, Schedule, require_below_rp_limit,
+    require_distinct_machines, work_to_time,
 )
 from .planner import Plan, slot_works
 from .sketch import FLOAT_EXACT, bucket_groups, power_table
@@ -39,12 +40,12 @@ class StreamMismatchError(ValueError):
     count, a large job with no slot left, or small jobs past the reservation."""
 
 
-@dataclass
-class EmitReport:
-    small_placed: int = 0
-    # both always 0, kept while the benchmark reads them: emit raises instead
-    bucket_overflow: int = 0
-    reservation_overflow: int = 0
+# bucket_overflow and reservation_overflow are always 0, kept while the
+# benchmark reads them: emit raises instead
+EmitReport = namedtuple(
+    "EmitReport", "small_placed bucket_overflow reservation_overflow",
+    defaults=(0, 0, 0),
+)
 
 
 def emit(
@@ -54,18 +55,20 @@ def emit(
     (any order). A large job starts where its slot starts, G^-1 of the slot's
     work coordinate, and completes after its true processing time; the slot
     coordinate then advances by the rounded length, to the next slot.
-    Raises ValueError when the profile count differs from the plan's,
-    naming the group when a group's rp is no rounded size at the plan's
-    tau, or naming the job when a processing time is below 1 or at or
-    past RP_LIMIT. Raises StreamMismatchError on another job count, or naming
-    the job, and its group if any, when a job too large to be small finds
-    no slot, or a small job overruns machine 1's reservation."""
+    Raises ValueError when the profile count differs from the plan's or a
+    machine number repeats, naming the group when a group's rp is no
+    rounded size at the plan's tau, or naming the job when a processing
+    time is below 1 or at or past RP_LIMIT. Raises StreamMismatchError on
+    another job count, or naming the job, and its group if any, when a job
+    too large to be small finds no slot, or a small job overruns machine 1's
+    reservation."""
     if len(profiles) != len(plan.counts):
         raise ValueError(
             f"plan is for {len(plan.counts)} machines, got {len(profiles)} profiles"
         )
     tau, groups = budget.tau(plan.eps, plan.alpha0), plan.groups
-    first = profiles[0]
+    require_distinct_machines(profiles)
+    first, first_machine = profiles[0], profiles[0].machine_index
     rps = [rp for rp, _nk in groups]
     # a group that no bucket maps to would keep its slots empty while its
     # jobs fall to the small pile, far past the plan's bound; bucket_groups
@@ -82,27 +85,31 @@ def emit(
     # each machine's interval tables; works gets an infinite sentinel so the
     # interval walk needs no bound check
     tables = [
-        (prof, prof._starts, prof._ends, prof._works + (math.inf,), prof._alphas)
+        (prof.machine_index, prof._starts, prof._ends, prof._works + (math.inf,),
+         prof._alphas)
         for prof in profiles
     ]
+    # a job that crosses its slot's interval finds its profile by number
+    profile_of = {prof.machine_index: prof for prof in profiles}
 
     def group_slots(g: int):
         """Group g's slots in the order they are used up, machine by machine:
-        (profile, start, end of the interval holding the start, its alpha).
+        (machine number, start, end of the interval holding the start, its
+        alpha).
         A slot's work coordinate w only grows on its machine, so the
         interval index is walked forward from one bisection per machine."""
         rp = rps[g]
         # the garbage collector tracks a zip or enumerate iterator but not a
         # range one; mu suspended zips made emit trigger extra collections
         for i in range(len(tables)):
-            profile, starts, ends, works, alphas = tables[i]
+            machine, starts, ends, works, alphas = tables[i]
             w = slot_work[i][g]
             j = bisect_right(works, w) - 1
             for _ in range(plan.counts[i][g]):
                 while works[j + 1] <= w:
                     j += 1
                 alpha = alphas[j]
-                yield profile, starts[j] + (w - works[j]) / alpha, ends[j], alpha
+                yield machine, starts[j] + (w - works[j]) / alpha, ends[j], alpha
                 w += rp
 
     slots = [group_slots(g) for g in range(len(groups))]
@@ -141,11 +148,11 @@ def emit(
                     f"past the {head} of machine 1's reservation: the "
                     "stream or machine 1's profile differs from pass 1's"
                 )
-            profile, start = first, small_cursor
+            machine, start = first_machine, small_cursor
             completion = small_cursor = work_to_time(first, start, x)
             small_placed += 1
         else:
-            profile, start, end, alpha = slot
+            machine, start, end, alpha = slot
             # the completion is walked from the start, not read off
             # G^-1(w + p): deep in a timeline the difference of two
             # G^-1 values loses the digits the evaluator needs to see
@@ -156,8 +163,8 @@ def emit(
             if x - alpha * (end - start) <= 0:
                 completion = start + x / alpha
             else:
-                completion = work_to_time(profile, start, x)
-        put_machine(profile.machine_index)
+                completion = work_to_time(profile_of[machine], start, x)
+        put_machine(machine)
         put_start(start)
         put_completion(completion)
     if job_id != plan.n:

@@ -14,7 +14,6 @@ from array import array
 from bisect import bisect_right
 from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
 
 REL_TOL = 1e-9
 
@@ -52,60 +51,60 @@ def _close(a: float, b: float) -> bool:
     return abs(a - b) <= REL_TOL * max(1.0, abs(a), abs(b))
 
 
-@dataclass(frozen=True)
-class Job:
-    id: int
-    p: int
+class Job(namedtuple("Job", "id p")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.id < 1:
-            raise ValueError(f"job id must be >= 1, got {self.id}")
-        if not 1 <= self.p < RP_LIMIT:
-            if self.p < 1:
-                raise ValueError(f"job {self.id}: processing time must be >= 1")
-            require_below_rp_limit(self.p, f"job {self.id}: processing time")
-
-
-@dataclass(frozen=True)
-class CapacityInterval:
-    start: float
-    end: float  # math.inf for the last, unbounded interval
-    alpha: float
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"capacity must be in (0, 1], got {self.alpha}")
-        if self.end <= self.start:
-            raise ValueError(f"interval end {self.end} <= start {self.start}")
+    def __new__(cls, id: int, p: int):
+        if id < 1:
+            raise ValueError(f"job id must be >= 1, got {id}")
+        if not 1 <= p < RP_LIMIT:
+            if p < 1:
+                raise ValueError(f"job {id}: processing time must be >= 1")
+            require_below_rp_limit(p, f"job {id}: processing time")
+        return tuple.__new__(cls, (id, p))
 
 
-@dataclass(frozen=True)
-class MachineProfile:
-    machine_index: int
-    intervals: tuple[CapacityInterval, ...]
+class CapacityInterval(namedtuple("CapacityInterval", "start end alpha")):
+    """end is math.inf for the last, unbounded interval."""
 
-    def __post_init__(self):
-        if not self.intervals:
+    __slots__ = ()
+
+    def __new__(cls, start: float, end: float, alpha: float):
+        if not 0.0 < alpha <= 1.0:
+            raise ValueError(f"capacity must be in (0, 1], got {alpha}")
+        if end <= start:
+            raise ValueError(f"interval end {end} <= start {start}")
+        return tuple.__new__(cls, (start, end, alpha))
+
+
+class MachineProfile(namedtuple("MachineProfile", "machine_index intervals")):
+    """intervals: a tuple of CapacityIntervals. The interval tables _starts,
+    _ends, _works and _alphas live in the instance dict, not in the tuple,
+    so ==, hash and repr skip them."""
+
+    def __new__(cls, machine_index: int, intervals: tuple[CapacityInterval, ...]):
+        if not intervals:
             raise ValueError("profile needs at least one interval")
-        if self.intervals[0].start != 0.0:
+        if intervals[0].start != 0.0:
             raise ValueError("intervals must start at time 0")
-        for prev, cur in zip(self.intervals, self.intervals[1:]):
+        for prev, cur in zip(intervals, intervals[1:]):
             if cur.start != prev.end:
                 raise ValueError("intervals must be contiguous")
-        if self.intervals[-1].end != math.inf:
+        if intervals[-1].end != math.inf:
             raise ValueError("last interval must be unbounded")
+        self = tuple.__new__(cls, (machine_index, intervals))
         # the cumulative-capacity table: work delivered by each interval start
         works = [0.0]
-        for iv in self.intervals[:-1]:
+        for iv in intervals[:-1]:
             works.append(works[-1] + iv.alpha * (iv.end - iv.start))
-        object.__setattr__(
-            self, "_starts", tuple(iv.start for iv in self.intervals)
-        )
-        object.__setattr__(self, "_ends", tuple(iv.end for iv in self.intervals))
-        object.__setattr__(self, "_works", tuple(works))
-        object.__setattr__(
-            self, "_alphas", tuple(iv.alpha for iv in self.intervals)
-        )
+        self._starts = tuple(iv.start for iv in intervals)
+        self._ends = tuple(iv.end for iv in intervals)
+        self._works = tuple(works)
+        self._alphas = tuple(iv.alpha for iv in intervals)
+        return self
+
+    # _replace builds through _make: check and derive the tables again
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def interval_index_at(self, t: float) -> int:
         return bisect_right(self._starts, t) - 1
@@ -167,26 +166,28 @@ def require_distinct_machines(profiles) -> None:
         seen.add(prof.machine_index)
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(namedtuple("Instance", "machines jobs alpha0")):
     """Job ids are distinct. _sizes maps each id to float(p), for
-    evaluate_schedule to copy; it is no field, so ==, hash and repr skip it."""
+    evaluate_schedule to copy; it lives in the instance dict, not in the
+    tuple, so ==, hash and repr skip it."""
 
-    machines: tuple[MachineProfile, ...]
-    jobs: tuple[Job, ...]
-    alpha0: float
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha0 <= 1.0:
-            raise ValueError(f"alpha0 must be in (0, 1], got {self.alpha0}")
-        require_alpha0(self.machines, self.alpha0)
-        require_distinct_machines(self.machines)
-        sizes = {job.id: float(job.p) for job in self.jobs}
-        if len(sizes) < len(self.jobs):
+    def __new__(cls, machines: tuple[MachineProfile, ...], jobs: tuple[Job, ...],
+                alpha0: float):
+        if not 0.0 < alpha0 <= 1.0:
+            raise ValueError(f"alpha0 must be in (0, 1], got {alpha0}")
+        require_alpha0(machines, alpha0)
+        require_distinct_machines(machines)
+        sizes = {job.id: float(job.p) for job in jobs}
+        if len(sizes) < len(jobs):
             # popping each id in turn, the first repeat finds its id gone
-            repeat = next(j.id for j in self.jobs if sizes.pop(j.id, None) is None)
+            repeat = next(j.id for j in jobs if sizes.pop(j.id, None) is None)
             raise ValueError(f"job id {repeat} appears twice")
-        object.__setattr__(self, "_sizes", sizes)
+        self = tuple.__new__(cls, (machines, jobs, alpha0))
+        self._sizes = sizes
+        return self
+
+    # _replace builds through _make: check and derive the size map again
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def random_instance(
@@ -206,22 +207,19 @@ PlacedJob = namedtuple("PlacedJob", "job_id machine_index start completion")
 INT64 = range(-(2**63), 2**63)
 
 
-@dataclass(frozen=True, init=False)
-class Schedule:
+class Schedule(namedtuple("Schedule", "job_ids machines starts completions")):
     """Placements held as four typed columns, 32 bytes per job: row k places
     job job_ids[k] on machine machines[k] over [starts[k], completions[k]).
+    job_ids and machines are array('q'), starts and completions array('d').
 
     Schedule(placements) takes an iterable of PlacedJobs or 4-tuples, and
     Schedule.from_columns the columns themselves. A value that an 'q' column
     cannot hold raises OverflowError; the file readers check for it first.
     """
 
-    job_ids: array  # 'q'
-    machines: array  # 'q'
-    starts: array  # 'd'
-    completions: array  # 'd'
+    __slots__ = ()
 
-    def __init__(self, placements=()):
+    def __new__(cls, placements=()):
         columns = job_ids, machines, starts, completions = (
             array("q"), array("q"), array("d"), array("d")
         )
@@ -230,7 +228,7 @@ class Schedule:
             machines.append(machine)
             starts.append(start)
             completions.append(completion)
-        self._set(columns)
+        return tuple.__new__(cls, columns)
 
     @classmethod
     def from_columns(cls, job_ids, machines, starts, completions) -> "Schedule":
@@ -238,13 +236,7 @@ class Schedule:
         unless they have one length."""
         if not len(job_ids) == len(machines) == len(starts) == len(completions):
             raise ValueError("schedule columns differ in length")
-        schedule = object.__new__(cls)
-        schedule._set((job_ids, machines, starts, completions))
-        return schedule
-
-    def _set(self, columns) -> None:
-        for field, column in zip(fields(self), columns):
-            object.__setattr__(self, field.name, column)
+        return tuple.__new__(cls, (job_ids, machines, starts, completions))
 
     @property
     def placements(self) -> "Placements":

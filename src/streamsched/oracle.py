@@ -7,9 +7,9 @@ of the cumulative work prefix, so the n! orderings collapse away.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .model import Instance, Schedule, evaluate_schedule, spt_on_assignment, work_to_time
+from .model import Instance, evaluate_schedule, spt_on_assignment, work_to_time
 
 MAX_JOBS = 12
 MAX_MACHINES = 3
@@ -19,11 +19,7 @@ class TooLargeError(ValueError):
     """Instance exceeds the brute-force enumeration guard."""
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    opt_value: float
-    opt_schedule: Schedule
-    assignments_explored: int
+OracleResult = namedtuple("OracleResult", "opt_value opt_schedule assignments_explored")
 
 
 def brute_force_opt(instance: Instance) -> OracleResult:

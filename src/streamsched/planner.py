@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import accumulate
 from operator import getitem, itemgetter
 
@@ -117,38 +117,49 @@ _PLAN_KEYS = (
 _OPTIONAL_KEYS = ("lower_bound", "delta")
 
 
-@dataclass
-class Plan:
-    """Selected schedule of the sketch jobs plus everything pass 2 needs."""
+class Plan(namedtuple(
+    "Plan",
+    "V sigma_S_prime eps alpha0 n small_reservation groups counts max_states "
+    "lower_bound delta",
+    defaults=(0, None, None),
+)):
+    """Selected schedule of the sketch jobs plus everything pass 2 needs.
 
-    V: float
-    sigma_S_prime: float
-    eps: float
-    alpha0: float
-    n: int
-    small_reservation: float
-    groups: tuple[tuple[int, int], ...]  # (rp, n_k), the sketch entries
-    counts: tuple[tuple[int, ...], ...]  # [machine][group]
-    max_states: int = field(default=0, compare=False)
-    lower_bound: float | None = None  # L; None in plan files that predate it
-    delta: float | None = None  # the delta the DP ran at; None likewise
+    groups holds the sketch entries (rp, n_k) and counts[machine][group] the
+    slots. lower_bound is L and delta the delta the DP ran at; both are None
+    in plan files that predate them. max_states, the DP's peak frontier, is
+    a statistic of the run: == skips it, and a Plan has no hash.
+    """
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
         """Raise ValueError naming the group unless every machine's `counts`
         row has one entry per group and each group's entries split its n_k."""
-        m = len(self.counts)
+        self = super().__new__(cls, *args, **kwargs)
+        groups, counts = self.groups, self.counts
+        m = len(counts)
         if m == 0:
             raise ValueError("plan has no machine rows in counts")
-        for g, (rp, n_k) in enumerate(self.groups):
-            col = [row[g] for row in self.counts if g < len(row)]
+        for g, (rp, n_k) in enumerate(groups):
+            col = [row[g] for row in counts if g < len(row)]
             if len(col) < m or min(col, default=0) < 0 or sum(col) != n_k:
                 raise ValueError(
                     f"group {g} (rp={rp}): counts {col} do not split n_k={n_k} "
                     f"over {m} machines"
                 )
-        if any(len(row) > len(self.groups) for row in self.counts):
-            last = len(self.groups) - 1
+        if any(len(row) > len(groups) for row in counts):
+            last = len(groups) - 1
             raise ValueError(f"counts has entries past the last group {last}")
+        return self
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self[:8] + self[9:] == other[:8] + other[9:]  # all but max_states
+
+    __ne__ = object.__ne__  # the inverse of __eq__; tuple's would see max_states
+    __hash__ = None
 
     def to_json(self) -> str:
         obj = {
@@ -421,7 +432,7 @@ def plan(
             bound = lower_bound(sketch, profiles)
         if budget.certifies(pl.V, eps, bound):
             break
-    pl.max_states, pl.lower_bound = peak, bound
+    pl = pl._replace(max_states=peak, lower_bound=bound)
     if trace is not None:
         for frontier in frontiers:
             trace.append(frontier)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import chain, islice
 
 from . import budget
@@ -28,8 +28,7 @@ class EmptyStreamError(ValueError):
 N_UPPER_LIMIT = 2**511
 
 
-@dataclass(frozen=True)
-class KnowledgeMode:
+class KnowledgeMode(namedtuple("KnowledgeMode", "n_upper pmax_lower")):
     """Optional prior knowledge about the stream.
 
     n_upper: claimed upper bound n' with n <= n'.
@@ -42,22 +41,22 @@ class KnowledgeMode:
     RP_LIMIT, which no job reaches.
     """
 
-    n_upper: int | None = None
-    pmax_lower: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n_upper is not None:
-            if self.n_upper < 1:
+    def __new__(cls, n_upper: int | None = None, pmax_lower: int | None = None):
+        if n_upper is not None:
+            if n_upper < 1:
                 raise ValueError("n_upper must be >= 1")
-            if self.n_upper >= N_UPPER_LIMIT:
+            if n_upper >= N_UPPER_LIMIT:
                 raise ValueError(
                     f"n_upper must be below 2**511, got an integer of "
-                    f"{len(str(self.n_upper))} digits"
+                    f"{len(str(n_upper))} digits"
                 )
-        if self.pmax_lower is not None:
-            if self.pmax_lower < 1:
+        if pmax_lower is not None:
+            if pmax_lower < 1:
                 raise ValueError("pmax_lower must be >= 1")
-            require_below_rp_limit(self.pmax_lower, "pmax_lower")
+            require_below_rp_limit(pmax_lower, "pmax_lower")
+        return tuple.__new__(cls, (n_upper, pmax_lower))
 
 
 # Memoized (1+tau)^k tables, keyed by tau.  Powers are built by repeated
@@ -142,15 +141,11 @@ def bucket_groups(rps, tau: float, what: str) -> list:
 _SKETCH_KEYS = ("eps", "alpha0", "n", "p_max", "entries")
 
 
-@dataclass(frozen=True)
-class Sketch:
-    """Finalized multiset summary of the large jobs."""
+class Sketch(namedtuple("Sketch", "entries n p_max eps alpha0")):
+    """Finalized multiset summary of the large jobs: entries is a tuple of
+    (rp, count) pairs, ascending by rp."""
 
-    entries: tuple[tuple[int, int], ...]  # (rp, count), ascending by rp
-    n: int
-    p_max: int
-    eps: float
-    alpha0: float
+    __slots__ = ()
 
     @property
     def tau(self) -> float:
@@ -219,7 +214,6 @@ READ_CHARS = 16 * 1024
 BLOCK = 2048
 
 
-@dataclass
 class SketchBuilder:
     """Single-writer streaming accumulator; call observe() or observe_all(),
     then finalize().
@@ -231,19 +225,17 @@ class SketchBuilder:
     live buckets span log_{1+tau}(3 n_upper^2 / (eps alpha0)) + O(1)
     indices whatever p_max is, and the counts take O(live) memory. The
     shared power table still holds one entry per bucket up to p_max's:
-    O(log p_max / tau) in every mode.
+    O(log p_max / tau) in every mode. mode=None means KnowledgeMode().
     """
 
-    eps: float
-    alpha0: float
-    mode: KnowledgeMode = field(default_factory=KnowledgeMode)
-
-    def __post_init__(self):
-        if not 0.0 < self.eps <= 1.0:
+    def __init__(self, eps: float, alpha0: float, mode: KnowledgeMode | None = None):
+        if not 0.0 < eps <= 1.0:
             raise ValueError("eps must be in (0, 1]")
-        if not 0.0 < self.alpha0 <= 1.0:
+        if not 0.0 < alpha0 <= 1.0:
             raise ValueError("alpha0 must be in (0, 1]")
-        self.tau = budget.tau(self.eps, self.alpha0)
+        self.eps, self.alpha0 = eps, alpha0
+        self.mode = KnowledgeMode() if mode is None else mode
+        self.tau = budget.tau(eps, alpha0)
         self._table = power_table(self.tau, 1)  # shared; only ever grows
         self.n_cur = 0
         self.p_curMax = 0
@@ -413,6 +405,6 @@ def sketch_stream(
     stream, eps: float, alpha0: float, mode: KnowledgeMode | None = None
 ) -> Sketch:
     """Build a sketch from any iterable of processing times."""
-    builder = SketchBuilder(eps, alpha0, mode or KnowledgeMode())
+    builder = SketchBuilder(eps, alpha0, mode)
     builder.observe_all(stream)
     return builder.finalize()

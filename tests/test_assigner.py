@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import hashlib
 import itertools
@@ -170,6 +169,13 @@ class TestEmit:
         pl = build_plan([1, 2, 3], profiles)
         given = tuple(flat_profile(1.0, i + 1) for i in range(m))
         with pytest.raises(ValueError, match=f"2 machines, got {m} profiles"):
+            emit(pl, [1, 2, 3], given)
+
+    def test_repeated_machine_number_rejected(self):
+        # a job that crosses its slot's interval finds its profile by number
+        pl = build_plan([1, 2, 3], (flat_profile(1.0, 1), flat_profile(1.0, 2)))
+        given = (flat_profile(1.0, 2), flat_profile(0.5, 2))
+        with pytest.raises(ValueError, match="^machine index 2 appears twice$"):
             emit(pl, [1, 2, 3], given)
 
     def test_groups_past_two_to_the_53(self):
@@ -497,7 +503,7 @@ def _emit_digest(case_index, pl, stream, profiles):
             digest.update(
                 f"{job_id} {machine} {start.hex()} {completion.hex()}\n".encode()
             )
-        digest.update(f"{dataclasses.astuple(report)}\n".encode())
+        digest.update(f"{tuple(report)}\n".encode())
     k = case_index % len(stream)
     edited = list(stream)
     edited[k] = (2 * max(stream), 1, stream[k] + 1)[case_index % 3]

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 import tracemalloc
@@ -95,7 +94,7 @@ class TestInstance:
         object.__setattr__(b, "_sizes", {})
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
         assert "_sizes" not in repr(a) and "3.0" not in repr(a)
-        assert [f.name for f in dataclasses.fields(a)] == ["machines", "jobs", "alpha0"]
+        assert a._fields == ("machines", "jobs", "alpha0")
 
     def test_evaluate_leaves_the_size_map_whole(self):
         # a rejected schedule pops sizes from evaluate's copy, not the map

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -316,8 +315,8 @@ class TestPlan:
         assert (older.V, older.delta, older.lower_bound) == (
             9.955555555555554, 0.020833333333333332, None
         )
-        assert dataclasses.replace(
-            older, small_reservation=0.0, V=pl.V, delta=pl.delta,
+        assert older._replace(
+            small_reservation=0.0, V=pl.V, delta=pl.delta,
             lower_bound=pl.lower_bound,
         ) == pl
         schedule, report = emit(older, [1, 1, 2], (unit_profile,))
@@ -444,7 +443,7 @@ class TestCertifyOrRefine:
         pl = plan(sk, inst.machines, 0.05, 0.5, trace=trace)
         proven = plan_proven(sk, inst.machines, 0.05, 0.5, trace=proven_trace)
         assert pl.lower_bound == lower_bound(sk, inst.machines)
-        assert pl == dataclasses.replace(proven, lower_bound=pl.lower_bound)
+        assert pl == proven._replace(lower_bound=pl.lower_bound)
         assert pl.delta == delta_of(sk, 0.05, 0.5)
         assert pl.V > (1 + 0.05) * pl.lower_bound
         peaks = [
